@@ -34,7 +34,6 @@ _EXPORTS = {
     "eigenvalue": "mercer",
     "eigenvalues": "mercer",
     "eigenfunction": "mercer",
-    "truncated_expansion": "mercer",
     "expansion_grid": "mercer",
     "spline1_tail_bound": "mercer",
     # rkhs

@@ -171,17 +171,10 @@ def _build_kernel(cfg: dict):
 
     block = cfg["kernel"]
     variant = block["variant"]
-    needed = {
-        "ss": {"alpha"},
-        "tc": {"beta"},
-        "dc": {"alpha", "beta"},
-        "spline1": set(),
-        "spline2": set(),
-        "genspline1": {"rho"},
-    }
-    if variant not in needed:
+    if variant not in kernels.HYPERPARAMETERS:
         raise ConfigError(f"unknown kernel.variant: {variant!r}")
-    want = needed[variant]
+    params = kernels.HYPERPARAMETERS[variant]
+    want = set(params)
     defaults = _DEFAULT_CONFIG["kernel"]
     # a hyperparameter still sitting at its default is treated as unset,
     # so switching variant does not force nulling the shipped beta
@@ -195,17 +188,7 @@ def _build_kernel(cfg: dict):
             f"kernel.variant {variant!r} needs exactly {sorted(want) or 'no'} "
             f"hyperparameters, got {sorted(given) or 'none'}"
         )
-    if variant == "ss":
-        return kernels.ss(alpha=block["alpha"])
-    if variant == "tc":
-        return kernels.tc(beta=block["beta"])
-    if variant == "dc":
-        return kernels.dc(alpha=block["alpha"], beta=block["beta"])
-    if variant == "spline1":
-        return kernels.spline1()
-    if variant == "spline2":
-        return kernels.spline2()
-    return kernels.genspline1(rho=block["rho"])
+    return kernels.KernelSpec(variant, **{k: block[k] for k in params})
 
 
 def _build_quadrature(cfg: dict):
@@ -295,19 +278,13 @@ def _cmd_estimate(cfg: dict, args) -> int:
     times, outputs, u_column = _read_dataset_csv(args.data)
     spec = _build_kernel(cfg)
     signal = _build_input(cfg, times, u_column)
-    quad = est.ESTIMATOR_QUADRATURE
     dataset = est.Dataset(
         np.array(times), np.array(outputs), signal, cfg["estimation"]["noise_variance"]
     )
-    gamma_cfg = cfg["estimation"]["gamma"]
-    grid_cfg = cfg["estimation"]["gamma_grid"]
-    if gamma_cfg is not None and grid_cfg is not None:
-        raise ConfigError("set estimation.gamma or estimation.gamma_grid, not both")
-    search = None
-    if grid_cfg is not None:
-        search = est.grid_search_gamma(spec, dataset, grid_cfg, quad)
-        gamma_cfg = search.best_gamma
-    fit = est.estimate(spec, dataset, gamma_cfg, quad)
+    fit = est.estimate(
+        spec, dataset, cfg["estimation"]["gamma"], cfg["estimation"]["gamma_grid"]
+    )
+    search = fit.search
 
     end = cfg["estimation"]["eval_end"]
     end = float(times[-1]) if end is None else float(end)
@@ -356,6 +333,9 @@ def _cmd_verify(cfg: dict, args) -> int:
     seed = cfg["verify"]["seed"]
     if int(seed) != seed or seed < 0:
         raise ConfigError("verify.seed must be a nonnegative integer")
+    mc_count = cfg["verify"]["mc_count"]
+    if int(mc_count) != mc_count or mc_count < 2:
+        raise ConfigError("verify.mc_count must be an integer >= 2")
     sections = cfg["verify"]["sections"]
     if sections is not None:
         known = {name for name, _ in verification.SECTIONS}
@@ -368,7 +348,7 @@ def _cmd_verify(cfg: dict, args) -> int:
         if sections is not None and name not in sections:
             continue
         t0 = time.perf_counter()
-        checks = runner(int(seed))
+        checks = runner(int(seed), int(mc_count))
         elapsed = time.perf_counter() - t0
         report.append((name, checks))
         for check in checks:
@@ -407,7 +387,7 @@ def _cmd_sample(cfg: dict, args) -> int:
     from . import maxent
 
     spec = _build_kernel(cfg)
-    if spec.variant not in ("tc", "dc"):
+    if not spec.stable:
         raise ConfigError("sample needs a half-line kernel (tc or dc)")
     block = cfg["sampling"]
     seed = block["seed"]
@@ -484,7 +464,7 @@ def _cmd_norm(cfg: dict, args) -> int:
     from . import kernels, mercer, rkhs
 
     spec = _build_kernel(cfg)
-    if spec.variant not in ("tc", "dc"):
+    if not spec.stable:
         raise ConfigError("norm needs a half-line kernel (tc or dc)")
     gamma = float(cfg["norm"]["gamma"])
     verdict = rkhs.membership_necessary_check(gamma, spec)
@@ -499,11 +479,8 @@ def _cmd_norm(cfg: dict, args) -> int:
         decay_hint=gamma,
     )
     quad_value = rkhs.dc_norm_integral(handle, spec, quad)
-    alpha, beta, rho = kernels.stable_params(spec)
-    closed = (
-        2.0 * beta * (rho - gamma / (2.0 * beta)) ** 2
-        / (2.0 * gamma - (4.0 * rho + 2.0) * beta)
-    )
+    _, beta, rho = kernels.stable_params(spec)
+    closed = rkhs.exp_norm_closed_form(gamma, beta, rho)
     truncation = cfg["norm"]["truncation"]
     if truncation is None:
         series_text = ""
@@ -534,7 +511,7 @@ def _cmd_tridiag(cfg: dict, args) -> int:
     from . import kernelmat
 
     spec = _build_kernel(cfg)
-    if spec.variant not in ("tc", "dc"):
+    if not spec.stable:
         raise ConfigError("tridiag needs a half-line kernel (tc or dc)")
     grid = _linspace_grid(cfg["tridiag"]["grid"])
     inverse = kernelmat.tridiagonal_inverse(spec, grid)

@@ -307,7 +307,10 @@ def solve_coefficients(A: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Fitted coefficients plus everything needed to evaluate the fit."""
+    """Fitted coefficients plus everything needed to evaluate the fit.
+
+    ``search`` holds the holdout scores when gamma came from a grid.
+    """
 
     coefficients: np.ndarray
     spec: KernelSpec
@@ -315,6 +318,7 @@ class EstimateResult:
     gamma: float
     output_gram: np.ndarray
     basis: object = field(repr=False)
+    search: GammaSearch | None = None
 
     def fitted_outputs(self) -> np.ndarray:
         """Model outputs at the dataset's own sample times."""
@@ -350,13 +354,24 @@ def estimate(
     spec: KernelSpec,
     dataset: Dataset,
     gamma: float | None = None,
-    quad=ESTIMATOR_QUADRATURE,
+    gamma_grid=None,
 ) -> EstimateResult:
-    """Fit the impulse response; gamma defaults to the noise variance."""
-    gamma = _effective_gamma(gamma, dataset)
-    A, basis = output_kernel(spec, dataset, quad)
+    """Fit the impulse response; gamma defaults to the noise variance.
+
+    With ``gamma_grid`` instead, gamma is picked by `grid_search_gamma` on
+    the same normal-equation matrix the fit uses.
+    """
+    if gamma_grid is None:
+        gamma = _effective_gamma(gamma, dataset)
+    elif gamma is not None:
+        raise DomainError("set estimation.gamma or estimation.gamma_grid, not both")
+    A, basis = output_kernel(spec, dataset)
+    search = None
+    if gamma_grid is not None:
+        search = grid_search_gamma(A, dataset.outputs, gamma_grid)
+        gamma = _effective_gamma(search.best_gamma, dataset)
     c = solve_coefficients(A, dataset.outputs, gamma)
-    return EstimateResult(c, spec, dataset, gamma, A, basis)
+    return EstimateResult(c, spec, dataset, gamma, A, basis, search)
 
 
 @dataclass(frozen=True)
@@ -372,34 +387,30 @@ class GammaSearch:
         return float(self.gammas[self.best_index])
 
 
-def grid_search_gamma(
-    spec: KernelSpec,
-    dataset: Dataset,
-    gammas,
-    quad=ESTIMATOR_QUADRATURE,
-) -> GammaSearch:
+def grid_search_gamma(A: np.ndarray, outputs: np.ndarray, gammas) -> GammaSearch:
     """Pick gamma by one chronological holdout on the last fifth of the data.
 
-    The model is fitted on the earlier samples and scored by mean squared
-    prediction error on the held-out outputs.  Ties go to the larger
-    gamma.  Needs at least five samples so the holdout is nonempty while
-    the training block stays usable.
+    ``A`` is the normal-equation matrix of all samples and ``outputs``
+    their values, both in time order.  The model is fitted on the earlier
+    samples and scored by mean squared prediction error on the held-out
+    outputs.  Ties go to the larger gamma.  Needs at least five samples so
+    the holdout is nonempty while the training block stays usable.
     """
     g = np.sort(np.asarray(gammas, dtype=float))
     if g.ndim != 1 or g.size == 0:
         raise DomainError("need a nonempty gamma grid")
     if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
         raise DomainError("gamma grid must be positive and finite")
-    n = dataset.n
+    outputs = np.asarray(outputs, dtype=float)
+    n = outputs.size
     if n < 5:
         raise DomainError("holdout search needs at least five samples")
     n_hold = max(1, int(round(0.2 * n)))
     m = n - n_hold
-    A, _ = output_kernel(spec, dataset, quad)
     A_train = A[:m, :m]
     cross = A[m:, :m]
-    y_train = dataset.outputs[:m]
-    y_hold = dataset.outputs[m:]
+    y_train = outputs[:m]
+    y_hold = outputs[m:]
     scores = np.empty(g.size)
     best = 0
     for idx, gamma in enumerate(g):

@@ -22,7 +22,7 @@ from scipy.linalg import eigvalsh, solve_triangular
 
 from .errors import ConditioningError, DomainError
 from .grids import HALFLINE, TimeGrid
-from .kernels import KernelSpec, eval_kernel, stable_params
+from .kernels import KernelSpec, eval_kernel, stable_gaps, stable_log_weight
 
 __all__ = [
     "KernelMatrix",
@@ -84,11 +84,9 @@ def markov_factors(spec: KernelSpec, grid: TimeGrid):
     """
     if grid.domain != HALFLINE:
         raise DomainError("expected a half-line grid")
-    _, beta, rho = stable_params(spec)
     t = grid.points
     n = t.size
-    e = np.exp(-2.0 * beta * t)
-    gaps = e - np.concatenate([e[1:], [0.0]])
+    gaps = stable_gaps(spec, t)
     bad = np.nonzero(gaps < _GAP_FLOOR)[0]
     if bad.size:
         i = int(bad[0])
@@ -99,7 +97,7 @@ def markov_factors(spec: KernelSpec, grid: TimeGrid):
             else f"terminal exponential gap {gaps[i]:.3e} below {_GAP_FLOOR:g} "
             f"at t[{i}]={t[i]:.6g}"
         )
-    scale = np.exp(-2.0 * beta * rho * t)
+    scale = np.exp(stable_log_weight(spec, t))
     transition = np.zeros(n)
     if n > 1:
         transition[: n - 1] = scale[: n - 1] / scale[1:]

@@ -9,7 +9,13 @@ Two groups share one validated :class:`KernelSpec` container:
   the power-weighted ``genspline1``.
 
 Every half-line family equals one of the mother kernels composed with an
-exponential change of coordinates.  `verify_stable_spline_identity`
+exponential change of coordinates.  ``tc`` and ``dc`` share one: the stable
+coordinate x = exp(-2 beta t) turns ``genspline1`` with rho =
+(alpha - beta) / (2 beta) into ``dc``, and ``tc`` is ``dc`` at alpha = beta
+(rho = 0, where ``genspline1`` is ``spline1``).  This module is the only
+place that knows that parametrization: `stable_params`,
+`stable_coordinate`, `stable_gaps` and `stable_log_weight` serve every
+other module.  `verify_stable_spline_identity`
 evaluates both routes on a caller-supplied grid and returns the worst
 discrepancy, which should sit at rounding level.  Note the mapped route
 underflows once the exponent of the coordinate image exceeds ~745, so keep
@@ -33,13 +39,28 @@ __all__ = [
     "spline1",
     "spline2",
     "genspline1",
+    "HYPERPARAMETERS",
     "eval_kernel",
     "stable_params",
+    "stable_coordinate",
+    "stable_gaps",
+    "stable_log_weight",
     "verify_stable_spline_identity",
 ]
 
 _UNIT_VARIANTS = ("spline1", "spline2", "genspline1")
-_HALFLINE_VARIANTS = ("ss", "tc", "dc")
+_STABLE_VARIANTS = ("tc", "dc")
+
+# hyperparameters each variant takes; tc also stores alpha = beta
+HYPERPARAMETERS = {
+    "ss": ("alpha",),
+    "tc": ("beta",),
+    # beta == 0 collapses the coordinate change and is not supported
+    "dc": ("alpha", "beta"),
+    "spline1": (),
+    "spline2": (),
+    "genspline1": ("rho",),
+}
 
 
 def _positive(name, value):
@@ -47,6 +68,16 @@ def _positive(name, value):
     if not np.isfinite(v) or v <= 0.0:
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
     return v
+
+
+def _power_exponent(name, value):
+    v = float(value)
+    if not np.isfinite(v) or v <= -0.5:
+        raise DomainError(f"{name} must be finite and > -0.5, got {value!r}")
+    return v
+
+
+_CHECKS = {"alpha": _positive, "beta": _positive, "rho": _power_exponent}
 
 
 @dataclass(frozen=True)
@@ -64,24 +95,13 @@ class KernelSpec:
     rho: float | None = None
 
     def __post_init__(self):
-        v = self.variant
-        if v == "ss":
-            object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
-        elif v == "tc":
-            object.__setattr__(self, "beta", _positive("beta", self.beta))
-        elif v == "dc":
-            # beta == 0 collapses the coordinate change and is not supported
-            object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
-            object.__setattr__(self, "beta", _positive("beta", self.beta))
-        elif v in ("spline1", "spline2"):
-            pass
-        elif v == "genspline1":
-            r = float(self.rho)
-            if not np.isfinite(r) or r <= -0.5:
-                raise DomainError(f"rho must be finite and > -0.5, got {self.rho!r}")
-            object.__setattr__(self, "rho", r)
-        else:
-            raise DomainError(f"unknown kernel variant {v!r}")
+        params = HYPERPARAMETERS.get(self.variant)
+        if params is None:
+            raise DomainError(f"unknown kernel variant {self.variant!r}")
+        for name in params:
+            object.__setattr__(self, name, _CHECKS[name](name, getattr(self, name)))
+        if self.variant == "tc":
+            object.__setattr__(self, "alpha", self.beta)
 
     @property
     def unit_domain(self) -> bool:
@@ -93,13 +113,16 @@ class KernelSpec:
         return UNIT01 if self.unit_domain else HALFLINE
 
     @property
+    def stable(self) -> bool:
+        """True for tc and dc, the kernels behind the stable coordinate."""
+        return self.variant in _STABLE_VARIANTS
+
+    @property
     def stable_rho(self) -> float:
         """Power-weight exponent of the mother kernel behind tc/dc."""
-        if self.variant == "tc":
-            return 0.0
-        if self.variant == "dc":
-            return (self.alpha - self.beta) / (2.0 * self.beta)
-        raise DomainError(f"{self.variant!r} has no stable-coordinate exponent")
+        if not self.stable:
+            raise DomainError(f"{self.variant!r} has no stable-coordinate exponent")
+        return (self.alpha - self.beta) / (2.0 * self.beta)
 
 
 def ss(alpha) -> KernelSpec:
@@ -108,7 +131,10 @@ def ss(alpha) -> KernelSpec:
 
 
 def tc(beta) -> KernelSpec:
-    """First-order stable-spline kernel, decay rate ``beta`` > 0."""
+    """First-order stable-spline kernel, decay rate ``beta`` > 0.
+
+    The spec is the `dc` kernel at ``alpha == beta`` under the tag ``"tc"``.
+    """
     return KernelSpec("tc", beta=beta)
 
 
@@ -138,11 +164,30 @@ def genspline1(rho) -> KernelSpec:
 
 def stable_params(spec: KernelSpec):
     """(alpha, beta, rho) triple shared by the tc/dc code paths."""
-    if spec.variant == "tc":
-        return spec.beta, spec.beta, 0.0
-    if spec.variant == "dc":
-        return spec.alpha, spec.beta, spec.stable_rho
-    raise DomainError(f"expected a tc or dc kernel, got {spec.variant!r}")
+    if not spec.stable:
+        raise DomainError(f"expected a tc or dc kernel, got {spec.variant!r}")
+    return spec.alpha, spec.beta, spec.stable_rho
+
+
+def stable_coordinate(spec: KernelSpec, t):
+    """Stable coordinate x = exp(-2 beta t) of half-line times ``t``."""
+    _, beta, _ = stable_params(spec)
+    return np.exp(-2.0 * beta * t)
+
+
+def stable_gaps(spec: KernelSpec, t) -> np.ndarray:
+    """Gaps x_i - x_{i+1} of the stable coordinate along increasing ``t``.
+
+    The last gap runs to x = 0, the image of t = infinity.
+    """
+    x = stable_coordinate(spec, t)
+    return x - np.concatenate([x[1:], [0.0]])
+
+
+def stable_log_weight(spec: KernelSpec, t):
+    """Log of the power weight x^rho at x = exp(-2 beta t), i.e. -2 beta rho t."""
+    _, beta, rho = stable_params(spec)
+    return -2.0 * beta * rho * t
 
 
 def _check_domain(spec, x):
@@ -162,14 +207,8 @@ def _eval_ss(spec, t, s):
     return np.exp(-a * (t + s) - a * hi) / 2.0 - np.exp(-3.0 * a * hi) / 6.0
 
 
-def _eval_tc(spec, t, s):
-    b = spec.beta
-    # |t - s| via max - min keeps the result bit-exactly symmetric
-    gap = np.maximum(t, s) - np.minimum(t, s)
-    return np.exp(-b * (t + s) - b * gap)
-
-
 def _eval_dc(spec, t, s):
+    # |t - s| via max - min keeps the result bit-exactly symmetric
     gap = np.maximum(t, s) - np.minimum(t, s)
     return np.exp(-spec.alpha * (t + s) - spec.beta * gap)
 
@@ -194,7 +233,7 @@ def _eval_genspline1(spec, t, s):
 
 _EVALUATORS = {
     "ss": _eval_ss,
-    "tc": _eval_tc,
+    "tc": _eval_dc,
     "dc": _eval_dc,
     "spline1": _eval_spline1,
     "spline2": _eval_spline2,
@@ -227,13 +266,9 @@ def verify_stable_spline_identity(spec: KernelSpec, grid) -> float:
         x = np.exp(-spec.alpha * t)
         y = np.exp(-spec.alpha * s)
         mapped = eval_kernel(spline2(), x, y)
-    elif spec.variant == "tc":
-        x = np.exp(-2.0 * spec.beta * t)
-        y = np.exp(-2.0 * spec.beta * s)
-        mapped = eval_kernel(spline1(), x, y)
-    elif spec.variant == "dc":
-        x = np.exp(-2.0 * spec.beta * t)
-        y = np.exp(-2.0 * spec.beta * s)
+    elif spec.stable:
+        x = stable_coordinate(spec, t)
+        y = stable_coordinate(spec, s)
         mapped = eval_kernel(genspline1(spec.stable_rho), x, y)
     else:
         raise DomainError("identity check applies to the half-line families only")

@@ -35,7 +35,7 @@ from scipy.special import ndtri
 
 from .errors import DomainError
 from .grids import HALFLINE, UNIT01, TimeGrid
-from .kernels import KernelSpec, stable_params
+from .kernels import KernelSpec, stable_gaps, stable_log_weight
 from .kernelmat import markov_factors
 
 __all__ = [
@@ -130,11 +130,6 @@ def sample_genspline_process(grid: TimeGrid, rho: float, seed: int, count: int):
     return _wrap(grid, vals, seed)
 
 
-def _dc_gaps(beta, t):
-    e = np.exp(-2.0 * beta * t)
-    return e - np.concatenate([e[1:], [0.0]])  # last gap runs to the anchor at infinity
-
-
 def sample_dc_process(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
     """Trajectories of the anticausal cumulative-increment construction.
 
@@ -145,16 +140,15 @@ def sample_dc_process(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
     """
     if grid.domain != HALFLINE:
         raise DomainError("expected a half-line grid")
-    _, beta, rho = stable_params(spec)
-    count = _check_count(count)
     t = grid.points
     n = t.size
-    gaps = _dc_gaps(beta, t)
+    gaps = stable_gaps(spec, t)
+    count = _check_count(count)
     w = standard_normal_matrix(seed, count, n)
     # running sums over the reversed index, then read back: value k uses
     # noise 0..n-1-k against gaps n-1 down to k
     acc = np.cumsum(w * np.sqrt(gaps[::-1]), axis=1)
-    scale = np.exp(-2.0 * beta * rho * t)
+    scale = np.exp(stable_log_weight(spec, t))
     vals = acc[:, ::-1] * scale
     return _wrap(grid, vals, seed)
 
@@ -204,11 +198,10 @@ def dc_process_exact_covariance(grid: TimeGrid, spec: KernelSpec) -> np.ndarray:
     """Covariance of the anticausal construction by literal accumulation."""
     if grid.domain != HALFLINE:
         raise DomainError("expected a half-line grid")
-    _, beta, rho = stable_params(spec)
     t = grid.points
-    gaps = _dc_gaps(beta, t)
+    gaps = stable_gaps(spec, t)
     suffix = np.cumsum(gaps[::-1])[::-1]
-    scale = np.exp(-2.0 * beta * rho * t)
+    scale = np.exp(stable_log_weight(spec, t))
     shared = np.minimum(suffix[:, None], suffix[None, :])  # suffix sums decrease
     return scale[:, None] * scale[None, :] * shared
 
@@ -269,12 +262,11 @@ def dc_negative_control_covariance(
     """Half-line competitor: correlated increments, same constraint set."""
     if grid.domain != HALFLINE:
         raise DomainError("expected a half-line grid")
-    _, beta, rho = stable_params(spec)
     t = grid.points
     n = t.size
-    inc_cov = _equicorrelated(_dc_gaps(beta, t), correlation)
+    inc_cov = _equicorrelated(stable_gaps(spec, t), correlation)
     acc = np.triu(np.ones((n, n)))  # scaled value k sums gaps k..n-1
-    scale = np.exp(-2.0 * beta * rho * t)
+    scale = np.exp(stable_log_weight(spec, t))
     return scale[:, None] * scale[None, :] * (acc @ inc_cov @ acc.T)
 
 
@@ -335,13 +327,12 @@ def verify_maxent_constraints(
         raise DomainError("expected a half-line grid")
     if (covariance is None) == (samples is None):
         raise DomainError("supply exactly one of covariance or samples")
-    _, beta, rho = stable_params(spec)
     t = grid.points
     n = t.size
-    gaps = _dc_gaps(beta, t)
+    gaps = stable_gaps(spec, t)
     inc_target = gaps[:-1]
     term_target = gaps[-1]
-    unscale = np.exp(2.0 * beta * rho * t)
+    unscale = np.exp(-stable_log_weight(spec, t))
 
     if covariance is not None:
         cov = np.asarray(covariance, dtype=float)

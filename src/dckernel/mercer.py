@@ -17,25 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .kernels import KernelSpec, eval_kernel, genspline1
+from .kernels import KernelSpec, eval_kernel, genspline1, stable_coordinate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_unit, refined
 
 __all__ = [
     "EigenSystem",
-    "Measure",
     "eigenvalue",
     "eigenvalues",
-    "eigenvalue_series_total",
     "spline1_tail_bound",
     "eigenfunction",
-    "truncated_expansion",
     "expansion_grid",
     "verify_eigen_equation",
     "verify_orthonormality",
 ]
-
-# Full eigenvalue series sums to 1/2 (the diagonal integral of min on [0,1]).
-EIGENVALUE_SERIES_TOTAL = 0.5
 
 
 def eigenvalue(i):
@@ -54,24 +48,11 @@ def eigenvalues(count: int) -> np.ndarray:
     return eigenvalue(np.arange(1, count + 1))
 
 
-def eigenvalue_series_total() -> float:
-    return EIGENVALUE_SERIES_TOTAL
-
-
 def spline1_tail_bound(truncation: int) -> float:
     """Uniform bound on the unit-square expansion error after ``truncation`` terms."""
     if truncation < 1:
         raise DomainError("truncation must be >= 1")
     return 2.0 / (math.pi ** 2 * (truncation - 0.5))
-
-
-@dataclass(frozen=True)
-class Measure:
-    """Integration measure an eigen-system is orthonormal under."""
-
-    kind: str  # "lebesgue01" | "power_weight" | "exp_weight"
-    rho: float = 0.0
-    beta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -82,7 +63,7 @@ class EigenSystem:
     truncation: int = 1000
 
     def __post_init__(self):
-        if self.kernel.variant not in ("spline1", "genspline1", "dc", "tc"):
+        if not (self.unit_side or self.kernel.stable):
             raise DomainError(
                 f"no closed-form eigen-system for variant {self.kernel.variant!r}"
             )
@@ -97,15 +78,6 @@ class EigenSystem:
         if v == "genspline1":
             return self.kernel.rho
         return self.kernel.stable_rho
-
-    @property
-    def measure(self) -> Measure:
-        v = self.kernel.variant
-        if v == "spline1":
-            return Measure("lebesgue01")
-        if v == "genspline1":
-            return Measure("power_weight", rho=self.kernel.rho)
-        return Measure("exp_weight", rho=self.rho, beta=self.kernel.beta)
 
     @property
     def unit_side(self) -> bool:
@@ -137,7 +109,7 @@ def _to_unit(system: EigenSystem, x):
         return x
     if np.any(x < 0.0):
         raise DomainError("evaluation points must be >= 0")
-    return np.exp(-2.0 * system.kernel.beta * x)
+    return stable_coordinate(system.kernel, x)
 
 
 def _check_index(i):
@@ -151,30 +123,6 @@ def eigenfunction(system: EigenSystem, i, x):
     i = _check_index(i)
     tau = _to_unit(system, x)
     out = np.asarray(_power_sine(system.rho, i, tau))
-    return float(out) if out.ndim == 0 else out
-
-
-def truncated_expansion(system: EigenSystem, t, s, truncation: int | None = None):
-    """Partial kernel series sum_{i<=M} lambda_i e_i(t) e_i(s), elementwise."""
-    m = system.truncation if truncation is None else int(truncation)
-    if m < 1:
-        raise DomainError("truncation must be >= 1")
-    xt = _to_unit(system, t)
-    xs = _to_unit(system, s)
-    xt, xs = np.broadcast_arrays(xt, xs)
-    shape = xt.shape
-    xt = xt.ravel()
-    xs = xs.ravel()
-    acc = np.zeros(xt.shape)
-    rho = system.rho
-    # chunk the index range to bound memory at ~chunk * len(points)
-    for start in range(1, m + 1, 128):
-        idx = np.arange(start, min(start + 128, m + 1))
-        lam = eigenvalue(idx)
-        et = _power_sine(rho, idx[:, None], xt[None, :])
-        es = _power_sine(rho, idx[:, None], xs[None, :])
-        acc += np.einsum("i,ij,ij->j", lam, et, es)
-    out = np.asarray(acc.reshape(shape))
     return float(out) if out.ndim == 0 else out
 
 

@@ -12,6 +12,9 @@ norm are provided:
 * `genspline_norm_integral` -- the unit-interval form for functions of the
   transformed coordinate, which the half-line routes must agree with.
 
+`exp_norm_closed_form` is the exact squared norm of exp(-gamma t), the
+reference the numerical routes are checked against.
+
 `membership_necessary_check` screens exponential decay rates: a function
 behaving like exp(-gamma t) can only have finite norm when gamma exceeds
 the kernel's diagonal decay rate.
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .kernels import KernelSpec, stable_params
+from .kernels import KernelSpec, stable_coordinate, stable_params
 from .mercer import EigenSystem, _power_sine, eigenvalue
 from .quadrature import (
     DEFAULT_QUADRATURE,
@@ -44,6 +47,7 @@ __all__ = [
     "tc_norm_integral",
     "dc_norm_series",
     "genspline_norm_integral",
+    "exp_norm_closed_form",
 ]
 
 _FD_RELATIVE_STEP = 1e-6
@@ -148,8 +152,8 @@ def membership_necessary_check(gamma, spec: KernelSpec) -> MembershipVerdict:
     return MembershipVerdict.FAILS_NECESSARY
 
 
-def _corner_splits(corners, beta):
-    return tuple(float(np.exp(-2.0 * beta * c)) for c in corners)
+def _corner_splits(corners, spec):
+    return tuple(float(stable_coordinate(spec, c)) for c in corners)
 
 
 def dc_norm_integral(
@@ -171,7 +175,7 @@ def dc_norm_integral(
         scaled = tau ** (-(rho + 1.0)) * q
         return scaled * scaled
 
-    return integrate_refining(integrand, quad, splits=_corner_splits(handle.corners, beta))
+    return integrate_refining(integrand, quad, splits=_corner_splits(handle.corners, spec))
 
 
 def tc_norm_integral(
@@ -189,7 +193,17 @@ def tc_norm_integral(
         scaled = q / tau
         return scaled * scaled
 
-    return integrate_refining(integrand, quad, splits=_corner_splits(handle.corners, beta))
+    return integrate_refining(integrand, quad, splits=_corner_splits(handle.corners, spec))
+
+
+def exp_norm_closed_form(gamma: float, beta: float, rho: float) -> float:
+    """Squared norm of exp(-gamma t) in the dc space of ``beta`` and ``rho``.
+
+    Finite only when gamma exceeds the diagonal decay (2 rho + 1) beta.
+    """
+    return 2.0 * beta * (rho - gamma / (2.0 * beta)) ** 2 / (
+        2.0 * gamma - (4.0 * rho + 2.0) * beta
+    )
 
 
 def genspline_norm_integral(
@@ -229,7 +243,7 @@ def dc_norm_series(
     are nondecreasing, so the value approaches the squared norm from below.
     Small coefficients are kept as computed, never truncated to zero.
     """
-    if system.kernel.variant not in ("dc", "tc"):
+    if not system.kernel.stable:
         raise DomainError("series norm expects a dc/tc eigen-system")
     m = system.truncation if truncation is None else int(truncation)
     if m < 1:
@@ -245,7 +259,7 @@ def dc_norm_series(
     _check_derivative(handle, 0.05, 4.0 / beta)
 
     graded = rho != 0.0
-    splits = _corner_splits(handle.corners, beta)
+    splits = _corner_splits(handle.corners, system.kernel)
     pts, wts = composite_rule(
         unit_breakpoints(quad, graded=graded, splits=splits), quad.nodes
     )

@@ -40,6 +40,7 @@ from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 __all__ = [
     "CheckResult",
     "DEFAULT_SEED",
+    "DEFAULT_MC_COUNT",
     "SECTIONS",
     "identity_checks",
     "mercer_checks",
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 2026
+DEFAULT_MC_COUNT = 100_000
 
 NORM_TRIPLES = (
     (0.5, 0.0, 1.0),
@@ -94,13 +96,6 @@ class CheckResult:
             f"[{verdict}] {self.name}: measured {self.measured:.6e} "
             f"{self.comparison} {self.threshold:.6e}"
         )
-
-
-def _closed_form_norm(beta, rho, gamma):
-    """Squared norm of exp(-gamma t) in the dc space, decay margin required."""
-    return 2.0 * beta * (rho - gamma / (2.0 * beta)) ** 2 / (
-        2.0 * gamma - (4.0 * rho + 2.0) * beta
-    )
 
 
 def _exp_handle(gamma):
@@ -199,7 +194,7 @@ def norm_checks(quad: QuadratureConfig = DEFAULT_QUADRATURE) -> list[CheckResult
     for beta, rho, gamma in NORM_TRIPLES:
         spec = kernels.dc(alpha=(2.0 * rho + 1.0) * beta, beta=beta)
         handle = _exp_handle(gamma)
-        exact = _closed_form_norm(beta, rho, gamma)
+        exact = rkhs.exp_norm_closed_form(gamma, beta, rho)
         value = rkhs.dc_norm_integral(handle, spec, quad)
         worst_quad = max(worst_quad, abs(value - exact) / exact)
         system = mercer.EigenSystem(spec, truncation=500)
@@ -248,7 +243,9 @@ def _mc_covariance_result(name, grid, spec, sampler, seed, count):
     return CheckResult(name, ratio, 3.0, details=f"{count} samples, seed {seed}")
 
 
-def maxent_checks(seed: int = DEFAULT_SEED, mc_count: int = 100_000) -> list[CheckResult]:
+def maxent_checks(
+    seed: int = DEFAULT_SEED, mc_count: int = DEFAULT_MC_COUNT
+) -> list[CheckResult]:
     """Sampling constructions against the kernel matrices they must realize."""
     rng = np.random.default_rng(seed)
     worst_process = 0.0
@@ -438,12 +435,12 @@ def estimator_checks() -> list[CheckResult]:
 
 
 SECTIONS = (
-    ("identity", lambda seed: identity_checks()),
-    ("mercer", lambda seed: mercer_checks()),
-    ("norm", lambda seed: norm_checks()),
-    ("maxent", lambda seed: maxent_checks(seed)),
-    ("tridiag", lambda seed: tridiag_checks(seed)),
-    ("estimator", lambda seed: estimator_checks()),
+    ("identity", lambda seed, mc_count: identity_checks()),
+    ("mercer", lambda seed, mc_count: mercer_checks()),
+    ("norm", lambda seed, mc_count: norm_checks()),
+    ("maxent", lambda seed, mc_count: maxent_checks(seed, mc_count)),
+    ("tridiag", lambda seed, mc_count: tridiag_checks(seed)),
+    ("estimator", lambda seed, mc_count: estimator_checks()),
 )
 
 
@@ -457,7 +454,7 @@ def run_suite(seed: int = DEFAULT_SEED, only=None):
     for name, runner in SECTIONS:
         if wanted is not None and name not in wanted:
             continue
-        out.append((name, runner(seed)))
+        out.append((name, runner(seed, DEFAULT_MC_COUNT)))
     return out
 
 

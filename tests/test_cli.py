@@ -292,3 +292,61 @@ def test_thread_env_validation(tmp_path, monkeypatch):
     monkeypatch.setenv("DCKERNEL_THREADS", "2")
     assert cli.main(["tridiag", "--out", str(tmp_path)]) == 0
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def test_verify_mc_count_takes_effect(tmp_path):
+    cfg = write_json(
+        tmp_path / "cfg.json", {"verify": {"sections": ["maxent"], "mc_count": 2000}}
+    )
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    checks = report["sections"][0]["checks"]
+    details = [c["details"] for c in checks if "samples" in c["details"]]
+    assert len(details) == 3
+    assert all(d.startswith("2000 samples") for d in details)
+
+    for bad in (0, 1, 1.5):
+        cfg = write_json(tmp_path / "bad.json", {"verify": {"mc_count": bad}})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def _below_hash(path):
+    return [
+        line
+        for line in path.read_text().splitlines()
+        if not line.startswith("# dckernel") and '"config_hash"' not in line
+    ]
+
+
+def test_tc_is_dc_at_equal_rates(tmp_path):
+    beta = 0.45
+    zoh = tmp_path / "zoh.csv"
+    rows = ["time,y,u"] + [
+        f"{t!r},{float(np.exp(-t))!r},{float(np.cos(3.0 * t))!r}"
+        for t in np.linspace(0.3, 2.4, 6).tolist()
+    ]
+    zoh.write_text("\n".join(rows) + "\n")
+    impulse = impulse_fixture(tmp_path / "impulse.csv")
+    runs = [
+        ("estimate", {"estimation": {"gamma_grid": [1e-3, 1e-1]}}, str(zoh)),
+        ("estimate", {"estimation": {"gamma": 1e-6, "input": {"kind": "impulse"}}}, impulse),
+        ("sample", {"sampling": {"count": 3, "grid": {"num": 6}}}, None),
+        ("sample", {"sampling": {"count": 3, "construction": "recursion"}}, None),
+        ("tridiag", {}, None),
+        ("norm", {"norm": {"gamma": 1.2, "truncation": 50}}, None),
+    ]
+    kernels = {
+        "tc": {"variant": "tc", "beta": beta},
+        "dc": {"variant": "dc", "alpha": beta, "beta": beta},
+    }
+    for k, (command, config, data) in enumerate(runs):
+        outputs = {}
+        for name, kernel in kernels.items():
+            out = tmp_path / f"{k}-{name}"
+            cfg = write_json(tmp_path / f"{k}-{name}.json", dict(config, kernel=kernel))
+            argv = [command, "--config", cfg, "--out", str(out)]
+            if data is not None:
+                argv += ["--data", data]
+            assert cli.main(argv) == 0
+            outputs[name] = {p: _below_hash(out / p) for p in sorted(os.listdir(out))}
+        assert outputs["tc"] == outputs["dc"], command

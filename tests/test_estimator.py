@@ -191,25 +191,30 @@ def test_grid_search_validation_and_ties():
     rng = np.random.default_rng(42)
     gram = assemble(spec, halfline_grid(times)).values
     y = gram @ rng.normal(size=10) + 0.01 * rng.normal(size=10)
-    ds = estimator.Dataset(times, y, estimator.ImpulseInput(), 0.0)
-
-    search = estimator.grid_search_gamma(spec, ds, [1.0, 1e-4, 1e-2])
+    # an impulse input's normal-equation matrix is the Gram matrix
+    search = estimator.grid_search_gamma(gram, y, [1.0, 1e-4, 1e-2])
     assert np.array_equal(search.gammas, np.sort(search.gammas))
     assert np.all(np.isfinite(search.scores))
     assert search.best_gamma == search.gammas[search.best_index]
 
+    # estimate runs the same search on the matrix it fits with
+    ds = estimator.Dataset(times, y, estimator.ImpulseInput(), 0.0)
+    fit = estimator.estimate(spec, ds, gamma_grid=[1.0, 1e-4, 1e-2])
+    assert np.array_equal(fit.search.scores, search.scores)
+    assert fit.gamma == search.best_gamma
+    with pytest.raises(DomainError):
+        estimator.estimate(spec, ds, gamma=0.1, gamma_grid=[0.1])
+
     # all-zero data scores every gamma identically; ties go to the largest
-    flat = estimator.Dataset(times, np.zeros(10), estimator.ImpulseInput(), 0.0)
-    tie = estimator.grid_search_gamma(spec, flat, [1e-3, 1e-1, 10.0])
+    tie = estimator.grid_search_gamma(gram, np.zeros(10), [1e-3, 1e-1, 10.0])
     assert tie.best_gamma == 10.0
 
-    small = estimator.Dataset(times[:4], y[:4], estimator.ImpulseInput(), 0.0)
     with pytest.raises(DomainError):
-        estimator.grid_search_gamma(spec, small, [0.1, 1.0])
+        estimator.grid_search_gamma(gram[:4, :4], y[:4], [0.1, 1.0])
     with pytest.raises(DomainError):
-        estimator.grid_search_gamma(spec, ds, [])
+        estimator.grid_search_gamma(gram, y, [])
     with pytest.raises(DomainError):
-        estimator.grid_search_gamma(spec, ds, [0.1, -1.0])
+        estimator.grid_search_gamma(gram, y, [0.1, -1.0])
 
 
 def test_quadrature_self_convergence():

@@ -143,3 +143,22 @@ def test_identity_accepts_time_grid():
 
     grid = halfline_grid(np.linspace(0.1, 5.0, 20))
     assert kernels.verify_stable_spline_identity(kernels.tc(0.5), grid) <= 1e-13
+
+
+def test_stable_coordinate_helpers():
+    beta = 0.35
+    assert kernels.stable_params(kernels.tc(beta)) == kernels.stable_params(
+        kernels.dc(beta, beta)
+    )
+    spec = kernels.dc(0.2, beta)
+    t = np.array([0.1, 0.4, 1.3, 2.0])
+    x = np.exp(-2.0 * beta * t)
+    assert np.array_equal(kernels.stable_coordinate(spec, t), x)
+    gaps = kernels.stable_gaps(spec, t)
+    assert np.array_equal(gaps[:-1], x[:-1] - x[1:])
+    assert gaps[-1] == x[-1]  # the last gap runs to x = 0
+    assert np.array_equal(
+        kernels.stable_log_weight(spec, t), -2.0 * beta * spec.stable_rho * t
+    )
+    with pytest.raises(DomainError):
+        kernels.stable_gaps(kernels.ss(0.5), t)

@@ -17,7 +17,6 @@ def test_eigenvalue_values_and_series():
     assert np.all(np.diff(vals) < 0)
     # partial sums approach 1/2 with a 2/(pi^2 M) tail
     assert vals.sum() == pytest.approx(0.5, abs=1e-5)
-    assert mercer.eigenvalue_series_total() == 0.5
 
 
 def test_eigenvalue_validation():
@@ -70,8 +69,8 @@ def test_expansion_converges_within_tail_bound():
     exact = np.minimum(pts[:, None], pts[None, :])
     sup = np.max(np.abs(partial - exact))
     assert sup <= mercer.spline1_tail_bound(1000)
-    # elementwise evaluator stays within the same tail bound
-    spot = mercer.truncated_expansion(system, 0.37, 0.81)
+    # a 1x1 grid spot check stays within the same tail bound
+    spot = mercer.expansion_grid(system, [0.37], [0.81])[0, 0]
     assert abs(spot - 0.37) <= mercer.spline1_tail_bound(1000)
 
 
