@@ -25,6 +25,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -166,6 +167,24 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _integer(value, key: str, minimum: int) -> int:
+    """``value`` as an int >= ``minimum``; anything else is a ConfigError naming ``key``.
+
+    Integral floats such as 1e5 pass; strings, booleans, non-finite and
+    fractional numbers do not.
+    """
+    valid = (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value == int(value)
+        and value >= minimum
+    )
+    if not valid:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _build_kernel(cfg: dict):
     from . import kernels
 
@@ -197,15 +216,13 @@ def _build_quadrature(cfg: dict):
     return QuadratureConfig(**cfg["quadrature"])
 
 
-def _linspace_grid(block: dict):
+def _linspace_grid(block: dict, key: str):
     import numpy as np
 
     from .grids import halfline_grid
 
-    num = block["num"]
-    if int(num) != num or num < 1:
-        raise ConfigError("grid num must be a positive integer")
-    return halfline_grid(np.linspace(block["start"], block["stop"], int(num)))
+    num = _integer(block["num"], f"{key}.num", 1)
+    return halfline_grid(np.linspace(block["start"], block["stop"], num))
 
 
 def _read_dataset_csv(path: str):
@@ -275,6 +292,7 @@ def _cmd_estimate(cfg: dict, args) -> int:
 
     if args.data is None:
         raise ConfigError("estimate needs --data pointing at a CSV file")
+    num = _integer(cfg["estimation"]["eval_points"], "estimation.eval_points", 2)
     times, outputs, u_column = _read_dataset_csv(args.data)
     spec = _build_kernel(cfg)
     signal = _build_input(cfg, times, u_column)
@@ -288,10 +306,7 @@ def _cmd_estimate(cfg: dict, args) -> int:
 
     end = cfg["estimation"]["eval_end"]
     end = float(times[-1]) if end is None else float(end)
-    num = cfg["estimation"]["eval_points"]
-    if int(num) != num or num < 2:
-        raise ConfigError("estimation.eval_points must be an integer >= 2")
-    eval_grid = np.linspace(0.0, end, int(num))
+    eval_grid = np.linspace(0.0, end, num)
     g_hat = est.reconstruct(fit, eval_grid)
     cfg_hash = config_hash(cfg)
     csv_rows = [(_fmt(t), _fmt(g)) for t, g in zip(eval_grid, g_hat)]
@@ -330,12 +345,8 @@ def _cmd_estimate(cfg: dict, args) -> int:
 def _cmd_verify(cfg: dict, args) -> int:
     from . import verification
 
-    seed = cfg["verify"]["seed"]
-    if int(seed) != seed or seed < 0:
-        raise ConfigError("verify.seed must be a nonnegative integer")
-    mc_count = cfg["verify"]["mc_count"]
-    if int(mc_count) != mc_count or mc_count < 2:
-        raise ConfigError("verify.mc_count must be an integer >= 2")
+    seed = _integer(cfg["verify"]["seed"], "verify.seed", 0)
+    mc_count = _integer(cfg["verify"]["mc_count"], "verify.mc_count", 2)
     sections = cfg["verify"]["sections"]
     if sections is not None:
         known = {name for name, _ in verification.SECTIONS}
@@ -348,7 +359,7 @@ def _cmd_verify(cfg: dict, args) -> int:
         if sections is not None and name not in sections:
             continue
         t0 = time.perf_counter()
-        checks = runner(int(seed), int(mc_count))
+        checks = runner(seed, mc_count)
         elapsed = time.perf_counter() - t0
         report.append((name, checks))
         for check in checks:
@@ -358,7 +369,7 @@ def _cmd_verify(cfg: dict, args) -> int:
     passed = verification.suite_passed(report)
     payload = {
         "config_hash": config_hash(cfg),
-        "seed": int(seed),
+        "seed": seed,
         "passed": passed,
         "sections": [
             {
@@ -390,11 +401,9 @@ def _cmd_sample(cfg: dict, args) -> int:
     if not spec.stable:
         raise ConfigError("sample needs a half-line kernel (tc or dc)")
     block = cfg["sampling"]
-    seed = block["seed"]
-    count = block["count"]
-    if int(count) != count or count < 0:
-        raise ConfigError("sampling.count must be a nonnegative integer")
-    grid = _linspace_grid(block["grid"])
+    seed = _integer(block["seed"], "sampling.seed", 0)
+    count = _integer(block["count"], "sampling.count", 0)
+    grid = _linspace_grid(block["grid"], "sampling.grid")
     if block["construction"] == "cumulative":
         sampler = maxent.sample_dc_process
     elif block["construction"] == "recursion":
@@ -403,7 +412,7 @@ def _cmd_sample(cfg: dict, args) -> int:
         raise ConfigError(
             f"unknown sampling.construction: {block['construction']!r}"
         )
-    samples = sampler(grid, spec, int(seed), int(count))
+    samples = sampler(grid, spec, seed, count)
     rows = [
         (str(draw), _fmt(t), _fmt(value))
         for draw, sample in enumerate(samples)
@@ -427,22 +436,18 @@ def _cmd_expand(cfg: dict, args) -> int:
     if spec.variant not in ("spline1", "genspline1"):
         raise ConfigError("expand supports unit-interval kernels only")
     block = cfg["expand"]
-    truncation = block["truncation"]
-    if int(truncation) != truncation or truncation < 1:
-        raise ConfigError("expand.truncation must be a positive integer")
-    num = block["grid_points"]
-    if int(num) != num or num < 1:
-        raise ConfigError("expand.grid_points must be a positive integer")
-    system = mercer.EigenSystem(spec, truncation=int(truncation))
-    pts = (np.arange(int(num)) + 1.0) / float(num)
+    truncation = _integer(block["truncation"], "expand.truncation", 1)
+    num = _integer(block["grid_points"], "expand.grid_points", 1)
+    system = mercer.EigenSystem(spec, truncation=truncation)
+    pts = (np.arange(num) + 1.0) / float(num)
     partial = mercer.expansion_grid(system, pts, pts)
     exact = kernels.eval_kernel(spec, pts[:, None], pts[None, :])
     error = np.abs(partial - exact)
     rows = [
         (str(i), str(j), _fmt(pts[i]), _fmt(pts[j]), _fmt(partial[i, j]),
          _fmt(exact[i, j]), _fmt(error[i, j]))
-        for i in range(int(num))
-        for j in range(int(num))
+        for i in range(num)
+        for j in range(num)
     ]
     _write_atomic(
         os.path.join(args.out, "expansion.csv"),
@@ -485,9 +490,8 @@ def _cmd_norm(cfg: dict, args) -> int:
     if truncation is None:
         series_text = ""
     else:
-        if int(truncation) != truncation or truncation < 1:
-            raise ConfigError("norm.truncation must be a positive integer")
-        system = mercer.EigenSystem(spec, truncation=int(truncation))
+        truncation = _integer(truncation, "norm.truncation", 1)
+        system = mercer.EigenSystem(spec, truncation=truncation)
         series_value, _ = rkhs.dc_norm_series(handle, system, quad=quad)
         series_text = _fmt(series_value)
     rows = [(_fmt(gamma), _fmt(quad_value), series_text, _fmt(closed))]
@@ -513,7 +517,7 @@ def _cmd_tridiag(cfg: dict, args) -> int:
     spec = _build_kernel(cfg)
     if not spec.stable:
         raise ConfigError("tridiag needs a half-line kernel (tc or dc)")
-    grid = _linspace_grid(cfg["tridiag"]["grid"])
+    grid = _linspace_grid(cfg["tridiag"]["grid"], "tridiag.grid")
     inverse = kernelmat.tridiagonal_inverse(spec, grid)
     gram = kernelmat.assemble(spec, grid).values
     residual = float(np.max(np.abs(gram @ inverse - np.eye(grid.n))))

@@ -14,10 +14,32 @@ the normal-equation matrix applies the observation map once more,
 and the fitted response is g_hat = sum_j c_j a(., s_j) with
 (A + gamma I) c = y.
 
-Quadrature is composite Gauss-Legendre per entry with breakpoints at every
-kink: the kernel's diagonal crease, the integration endpoint, and each
-input discontinuity.  An impulse input short-circuits all of it because
-the representers collapse to kernel sections and A to the Gram matrix.
+Both integrals are closed form.  Each half-line kernel is a short sum of
+exponentials w exp(-p tau - q nu) on tau >= nu (`kernels.triangle_terms`),
+and each non-impulse input is a sum of switched exponentials
+c exp(-r (x - b)) H(x - b): a step is one term, a zero-order hold one term
+per level jump, an exponential sum one term per rate at b = 0.  So
+
+    a(t, s_j)  = sum_l c_l R(t, s_j - b_l),
+    A[i, j]    = sum_{l', l} c_l' c_l S(t_i - b_l', s_j - b_l),
+
+with R and S the kernel integrated over a segment and over a rectangle
+against the terms' exponentials.  Split at min and max, the rectangle is
+a square (two triangles, each the exact integral of an exponential) plus
+a strip on which the kernel is separable, so S depends on min(T, U) and on
+|T - U| through a few exponentials.  Per anchor s_j, scaled running sums
+over the shifted switch times, sorted, collect those exponentials; a row
+of A then costs O(n m) for m switched terms and A costs O(n^2 m), without
+ever holding n^2 m numbers.  Every exponent is nonpositive, and the
+divided differences of exp(-x) behind the closed forms (`_psi`, `_d1`,
+`_d2`) stay exact when decay rates coincide, as with tc's q = 0 or an
+input rate equal to a kernel rate.
+
+An impulse input short-circuits all of it: the representers collapse to
+kernel sections and A to the Gram matrix.  `output_kernel_quadrature`
+computes the same A and representers by composite Gauss-Legendre
+quadrature with breakpoints at every kink; it serves only as an
+independent oracle for checks and tests.
 """
 
 from __future__ import annotations
@@ -30,7 +52,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConditioningError, DomainError
 from .grids import HALFLINE, TimeGrid
-from .kernels import KernelSpec, eval_kernel
+from .kernels import KernelSpec, eval_kernel, triangle_terms
 from .kernelmat import assemble
 from .quadrature import QuadratureConfig, _gauss_legendre
 
@@ -44,6 +66,7 @@ __all__ = [
     "ESTIMATOR_QUADRATURE",
     "GAMMA_FLOOR",
     "output_kernel",
+    "output_kernel_quadrature",
     "solve_coefficients",
     "EstimateResult",
     "estimate",
@@ -52,8 +75,9 @@ __all__ = [
     "grid_search_gamma",
 ]
 
-# panels is per smooth segment here, not per unit interval: every segment
-# between consecutive breakpoints gets this many Gauss-Legendre panels
+# default rule of the quadrature oracle; panels is per smooth segment here,
+# not per unit interval: every segment between consecutive breakpoints gets
+# this many Gauss-Legendre panels
 ESTIMATOR_QUADRATURE = QuadratureConfig(panels=8, nodes=8, rel_tol=1e-9)
 
 GAMMA_FLOOR = 1e-10
@@ -67,9 +91,9 @@ class InputSignal:
     def value(self, x):
         raise NotImplementedError
 
-    def breakpoints(self):
-        """Times where the input jumps; quadrature splits land here."""
-        return (0.0,)
+    def switched_exponentials(self):
+        """Arrays (c, r, b): the input is sum c exp(-r (x - b)) H(x - b)."""
+        raise NotImplementedError
 
 
 class ImpulseInput(InputSignal):
@@ -91,6 +115,9 @@ class StepInput(InputSignal):
     def value(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0.0, self.amplitude, 0.0)
+
+    def switched_exponentials(self):
+        return np.array([self.amplitude]), np.zeros(1), np.zeros(1)
 
 
 class ExpSumInput(InputSignal):
@@ -114,6 +141,9 @@ class ExpSumInput(InputSignal):
         xs = np.where(live, x, 0.0)
         vals = np.exp(-np.multiply.outer(xs, self.rates)) @ self.amplitudes
         return np.where(live, vals, 0.0)
+
+    def switched_exponentials(self):
+        return self.amplitudes, self.rates, np.zeros(self.rates.size)
 
 
 class ZohInput(InputSignal):
@@ -139,8 +169,9 @@ class ZohInput(InputSignal):
         vals = self.levels[np.clip(idx, 0, self.levels.size - 1)]
         return np.where(idx >= 0, vals, 0.0)
 
-    def breakpoints(self):
-        return tuple(self.times)
+    def switched_exponentials(self):
+        jumps = np.diff(self.levels, prepend=0.0)
+        return jumps, np.zeros(jumps.size), self.times
 
 
 @dataclass(frozen=True)
@@ -179,6 +210,252 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.output_times.size
+
+
+def _psi(z):
+    """(1 - exp(-z)) / z for z >= 0, equal to 1 at z = 0, without cancellation."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.expm1(-z) / z
+    return np.where(z == 0.0, 1.0, out)
+
+
+def _d1(x, y):
+    """Integral of exp(-(x + u (y - x))) over u in [0, 1], for x, y >= 0.
+
+    That is the divided difference (exp(-x) - exp(-y)) / (y - x), exact
+    also where x and y coincide.
+    """
+    return np.exp(-np.minimum(x, y)) * _psi(np.abs(y - x))
+
+
+_SERIES_SPREAD = 1.0
+_SERIES_TERMS = 20
+
+
+def _d2(x, y, z):
+    """Integral of exp(-(l0 x + l1 y + l2 z)) over the simplex, for x, y, z >= 0.
+
+    The simplex {l >= 0, l0 + l1 + l2 = 1} has area 1/2, and the value is
+    the second divided difference of exp(-x) at (x, y, z).  Shifted by the
+    smallest argument to (0, a, b) with a <= b, a spread b below
+    `_SERIES_SPREAD` sums the series sum_k (-1)^k h_k(a, b) / (k + 2)!
+    (h_k the complete homogeneous polynomial); a wider one takes the
+    divided difference of `_d1`, whose denominator b is then at least 1.
+    """
+    args = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z))))
+    args.sort(axis=0)
+    lo, mid, hi = args
+    a = mid - lo
+    b = hi - lo
+    out = np.empty(b.shape)
+    near = b < _SERIES_SPREAD
+    an, bn = a[near], b[near]
+    h = np.ones(an.shape)
+    apow = np.ones(an.shape)
+    total = np.full(an.shape, 0.5)
+    factorial = 2.0
+    for k in range(1, _SERIES_TERMS):
+        apow = apow * an
+        h = bn * h + apow
+        factorial *= k + 2
+        total += (-1.0) ** k * h / factorial
+    out[near] = total
+    af, bf = a[~near], b[~near]
+    out[~near] = (_psi(af) - np.exp(-af) * _psi(bf - af)) / bf
+    return np.exp(-lo) * out
+
+
+def _phi(p, r, x):
+    """Integral of exp(-p y - r (x - y)) over y in [0, x]."""
+    return x * _d1(p * x, r * x)
+
+
+def _strip(p, q, r, x):
+    """Integral of exp(-p x - q nu - r (x - nu)) over nu in [0, x].
+
+    That is the kernel term's section at x against a rate-r term ending at
+    x: the strip factor of S and the near piece of R.
+    """
+    return x * _d1((p + q) * x, (p + r) * x)
+
+
+def _square(p, q, r, rr, x):
+    """Integral over [0, x]^2 of a kernel term against rate-r and rate-rr terms.
+
+    The terms end at the square's far corner.  Each triangle of the square
+    integrates an exponential of a linear form: x^2 times `_d2` of the
+    exponent at its three corners.
+    """
+    corner = (r + rr) * x
+    diagonal = (p + q) * x
+    return x * x * (_d2(corner, (p + r) * x, diagonal) + _d2(corner, (p + rr) * x, diagonal))
+
+
+class _Group:
+    """Switched terms of one rate, seen from every anchor s_j.
+
+    Node k of anchor j sits at max(s_j - b, 0) for the k-th largest switch
+    time b, so nodes ascend along each row.  A cut k splits the nodes into
+    the k below it and the rest; `below`/`above` give the node just under
+    and just over each cut (zero where there is none).
+    """
+
+    def __init__(self, rate, amps, starts, anchors):
+        self.rate = rate
+        self.amps = amps
+        self.starts = starts
+        n, m = anchors.size, starts.size
+        self.nodes = np.maximum(anchors[:, None] - starts[None, ::-1], 0.0)
+        self.node_amps = amps[::-1]
+        self.below = np.zeros((n, m + 1))
+        self.below[:, 1:] = self.nodes
+        self.above = np.zeros((n, m + 1))
+        self.above[:, :m] = self.nodes
+        self.gaps = np.zeros((n, m + 1))  # gaps[:, k] = node k - node k-1
+        self.gaps[:, 1:m] = np.diff(self.nodes, axis=1)
+
+    def cuts(self, anchors, x):
+        """Number of nodes <= x >= 0 for each anchor; broadcasts."""
+        return self.starts.size - np.searchsorted(self.starts, anchors - x)
+
+    def running_sums(self, p, q):
+        """Scaled sums over the nodes U_l for the kernel term (p, q), by cut k.
+
+        low[:, k]  = sum_{l<k} c_l strip(U_l) exp(-p (U_{k-1} - U_l)),
+        mass[:, k] = sum_{l>=k} c_l exp(-r (U_l - U_k)),
+        tail[:, k] = sum_{l>=k} c_l phi_{p,r}(U_l - U_k).
+        """
+        r = self.rate
+        strip = _strip(p, q, r, self.nodes)
+        low, mass, tail = (np.zeros(self.gaps.shape) for _ in range(3))
+        m = self.starts.size
+        for k in range(m):
+            d = self.gaps[:, k]
+            low[:, k + 1] = np.exp(-p * d) * low[:, k] + self.node_amps[k] * strip[:, k]
+        for k in range(m - 1, -1, -1):
+            d = self.gaps[:, k + 1]
+            tail[:, k] = _phi(p, r, d) * mass[:, k + 1] + np.exp(-p * d) * tail[:, k + 1]
+            mass[:, k] = np.exp(-r * d) * mass[:, k + 1] + self.node_amps[k]
+        return low, mass, tail
+
+    def square_sums(self, p, q, rr, low):
+        """sq[:, k] = sum_{l<k} c_l S(U_{k-1}, U_l) against a rate-rr row term.
+
+        S(T, U) for U <= T is exp(-rr (T - U)) square(U) + phi_{p,rr}(T - U)
+        strip(U), both shifted along by the same recursion.
+        """
+        square = _square(p, q, self.rate, rr, self.nodes)
+        sq = np.zeros(self.gaps.shape)
+        for k in range(self.starts.size):
+            d = self.gaps[:, k]
+            sq[:, k + 1] = (
+                np.exp(-rr * d) * sq[:, k]
+                + _phi(p, rr, d) * low[:, k]
+                + self.node_amps[k] * square[:, k]
+            )
+        return sq
+
+
+class _ClosedForm:
+    """Closed-form A and representers for a non-impulse input."""
+
+    def __init__(self, spec, anchors, signal):
+        amps, rates, starts = signal.switched_exponentials()
+        keep = amps != 0.0
+        self.groups = []
+        for rate in np.unique(rates[keep]):
+            sel = keep & (rates == rate)
+            order = np.argsort(starts[sel], kind="stable")
+            self.groups.append(
+                _Group(float(rate), amps[sel][order], starts[sel][order], anchors)
+            )
+        self.anchors = anchors
+        self.blocks = [
+            (w, p, q, group, *group.running_sums(p, q))
+            for w, p, q in triangle_terms(spec)
+            for group in self.groups
+        ]
+
+    def matrix(self):
+        """A, built by rows over columns j >= i and mirrored."""
+        s = self.anchors
+        n = s.size
+        pairs = []
+        for w, p, q, group, low, mass, tail in self.blocks:
+            for row in self.groups:
+                r, rr = group.rate, row.rate
+                # T = t_i - b' for every row term, with its square and strip
+                T = np.maximum(s[:, None] - row.starts[None, :], 0.0)
+                sq = group.square_sums(p, q, rr, low)
+                pairs.append((w, p, r, rr, group, row, low, mass, tail, sq, T,
+                              _square(p, q, r, rr, T), _strip(p, q, rr, T)))
+        A = np.zeros((n, n))
+        for i in range(n):
+            cols = np.arange(i, n)
+            for w, p, r, rr, group, row, low, mass, tail, sq, T, sqT, stT in pairs:
+                live = np.searchsorted(row.starts, s[i])  # row terms on before t_i
+                if live == 0:
+                    continue
+                Ti = T[i, :live, None]
+                k = group.cuts(s[cols], Ti)
+                below = np.maximum(Ti - group.below[cols, k], 0.0)
+                above = np.maximum(group.above[cols, k] - Ti, 0.0)
+                v = mass[cols, k]
+                lower = np.exp(-rr * below) * sq[cols, k] + _phi(p, rr, below) * low[cols, k]
+                upper = sqT[i, :live, None] * np.exp(-r * above) * v + stT[i, :live, None] * (
+                    _phi(p, r, above) * v + np.exp(-p * above) * tail[cols, k]
+                )
+                A[i, i:] += w * (row.amps[:live] @ (lower + upper))
+        return np.triu(A) + np.triu(A, 1).T
+
+    def representers(self, t):
+        """(len(t), n) array of a(t, s_j)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.all(t >= 0.0):
+            raise DomainError("representers are evaluated at times >= 0")
+        cols = np.arange(self.anchors.size)
+        x = t[:, None]
+        out = np.zeros((t.size, cols.size))
+        for w, p, q, group, low, mass, tail in self.blocks:
+            r = group.rate
+            k = group.cuts(self.anchors, x)
+            below = np.maximum(x - group.below[cols, k], 0.0)
+            above = np.maximum(group.above[cols, k] - x, 0.0)
+            v = mass[cols, k]
+            out += w * (
+                np.exp(-p * below) * low[cols, k]
+                + _strip(p, q, r, x) * np.exp(-r * above) * v
+                + np.exp(-(p + q) * x)
+                * (_phi(p, r, above) * v + np.exp(-p * above) * tail[cols, k])
+            )
+        return out
+
+
+def _check_halfline(spec):
+    if spec.domain != HALFLINE:
+        raise DomainError("system estimation needs a half-line kernel")
+
+
+def output_kernel(spec: KernelSpec, dataset: Dataset):
+    """Normal-equation matrix A and a basis callable t -> (len(t), n).
+
+    Both are closed form (see the module docstring).  For an impulse input
+    A is the kernel Gram matrix and the basis rows are kernel sections.
+    """
+    _check_halfline(spec)
+    times = dataset.output_times
+    if dataset.input.is_impulse:
+        gram = assemble(spec, TimeGrid(times, HALFLINE)).values
+
+        def basis(t):
+            t = np.atleast_1d(np.asarray(t, dtype=float))
+            return eval_kernel(spec, t[:, None], times[None, :])
+
+        return gram, basis
+
+    closed = _ClosedForm(spec, times, dataset.input)
+    return closed.matrix(), closed.representers
 
 
 def _rowwise_rule(fixed, perrow, panels, nodes):
@@ -220,6 +497,7 @@ class _BasisEvaluator:
         self.anchors = np.asarray(anchor_times, dtype=float)
         self.signal = signal
         self.quad = quad
+        self.jumps = np.unique(signal.switched_exponentials()[2])  # input kinks
 
     def column(self, t, j):
         """a(t, s_j) for a 1-D array of evaluation times t."""
@@ -228,7 +506,7 @@ class _BasisEvaluator:
         if s == 0.0:
             return np.zeros(t.shape)
         fixed = np.array(
-            sorted({0.0, s}.union(s - b for b in _interior(self.signal.breakpoints(), s)))
+            sorted({0.0, s}.union(s - b for b in _interior(self.jumps, s)))
         )
         pts, wts = _rowwise_rule(
             fixed, np.clip(t, 0.0, s), self.quad.panels, self.quad.nodes
@@ -242,37 +520,35 @@ class _BasisEvaluator:
         return np.column_stack([self.column(t, j) for j in range(self.anchors.size)])
 
 
-def output_kernel(spec: KernelSpec, dataset: Dataset, quad=ESTIMATOR_QUADRATURE):
-    """Normal-equation matrix A and a basis callable t -> (len(t), n).
+def output_kernel_quadrature(
+    spec: KernelSpec, dataset: Dataset, quad=ESTIMATOR_QUADRATURE
+):
+    """`output_kernel` by nested composite Gauss-Legendre quadrature.
 
-    For an impulse input both collapse analytically: A is the kernel Gram
-    matrix and the basis rows are kernel sections, with no quadrature.
+    An independent oracle for convolved inputs: every segment between
+    kinks (the kernel's diagonal crease, the integration endpoint, each
+    input jump and the creases it leaves in the representers) gets
+    ``quad.panels`` panels of ``quad.nodes`` nodes.  Production code calls
+    `output_kernel`.
     """
-    if spec.domain != HALFLINE:
-        raise DomainError("system estimation needs a half-line kernel")
+    _check_halfline(spec)
+    if dataset.input.is_impulse:
+        raise DomainError("the quadrature oracle needs a convolved input")
     times = dataset.output_times
     n = times.size
-    if dataset.input.is_impulse:
-        gram = assemble(spec, TimeGrid(times, HALFLINE)).values
-
-        def basis(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            return eval_kernel(spec, t[:, None], times[None, :])
-
-        return gram, basis
-
     evaluator = _BasisEvaluator(spec, times, dataset.input, quad)
     signal = dataset.input
     A = np.zeros((n, n))
+    jumps = evaluator.jumps
     for i in range(n):
         t = float(times[i])
         if t == 0.0:
             continue  # integral over an empty range
-        # only j >= i is computed, so the representer's crease at s_j
-        # never falls inside (0, t) and the outer rule is j-independent
-        fixed = np.array(
-            sorted({0.0, t}.union(t - b for b in _interior(signal.breakpoints(), t)))
-        )
+        # a(., s_j) creases at s_j - b for every jump b; only j >= i is
+        # computed, so one outer rule split at all of them serves the row
+        creases = {float(s) - b for s in times[i:] for b in jumps}
+        kinks = {t - b for b in _interior(jumps, t)}.union(_interior(creases, t))
+        fixed = np.array(sorted(kinks.union({0.0, t})))
         pts, wts = _rowwise_rule(fixed, np.array([t]), quad.panels, quad.nodes)
         tau = pts[0]
         outer = wts[0] * signal.value(t - tau)

@@ -15,7 +15,8 @@ coordinate x = exp(-2 beta t) turns ``genspline1`` with rho =
 (rho = 0, where ``genspline1`` is ``spline1``).  This module is the only
 place that knows that parametrization: `stable_params`,
 `stable_coordinate`, `stable_gaps` and `stable_log_weight` serve every
-other module.  `verify_stable_spline_identity`
+other module, and `triangle_terms` writes each half-line kernel as a sum
+of exponentials for closed-form integrals.  `verify_stable_spline_identity`
 evaluates both routes on a caller-supplied grid and returns the worst
 discrepancy, which should sit at rounding level.  Note the mapped route
 underflows once the exponent of the coordinate image exceeds ~745, so keep
@@ -45,6 +46,7 @@ __all__ = [
     "stable_coordinate",
     "stable_gaps",
     "stable_log_weight",
+    "triangle_terms",
     "verify_stable_spline_identity",
 ]
 
@@ -100,6 +102,16 @@ class KernelSpec:
             raise DomainError(f"unknown kernel variant {self.variant!r}")
         for name in params:
             object.__setattr__(self, name, _CHECKS[name](name, getattr(self, name)))
+        for name in _CHECKS:
+            value = getattr(self, name)
+            if name in params or value is None:
+                continue
+            # tc's alpha is derived; a copy of the spec carries it back in
+            if self.variant == "tc" and name == "alpha" and value == self.beta:
+                continue
+            raise DomainError(
+                f"{self.variant} takes no {name} hyperparameter, got {value!r}"
+            )
         if self.variant == "tc":
             object.__setattr__(self, "alpha", self.beta)
 
@@ -188,6 +200,22 @@ def stable_log_weight(spec: KernelSpec, t):
     """Log of the power weight x^rho at x = exp(-2 beta t), i.e. -2 beta rho t."""
     _, beta, rho = stable_params(spec)
     return -2.0 * beta * rho * t
+
+
+def triangle_terms(spec: KernelSpec):
+    """Exponential terms of a half-line kernel on its lower triangle.
+
+    Returns ``((w, p, q), ...)`` with k(tau, nu) = sum of
+    w * exp(-p tau - q nu) for tau >= nu; tau < nu follows by symmetry.
+    Every term has p > 0 and p + q > 0, so each exponent is nonpositive.
+    ``dc`` is rank 1 (``tc`` has q = 0 exactly), ``ss`` rank 2.
+    """
+    if spec.stable:
+        return ((1.0, spec.alpha + spec.beta, spec.alpha - spec.beta),)
+    if spec.variant == "ss":
+        a = spec.alpha
+        return ((0.5, 2.0 * a, a), (-1.0 / 6.0, 3.0 * a, 0.0))
+    raise DomainError(f"{spec.variant!r} is not a half-line kernel")
 
 
 def _check_domain(spec, x):

@@ -20,7 +20,8 @@ Sections:
   benchmark grid and on randomized draws, plus the second-order-kernel
   negative control that is not expected to be tridiagonal;
 * estimator: impulse-input collapse, noise-free recovery, regularization
-  path monotonicity, and quadrature self-convergence.
+  path monotonicity, self-convergence of the quadrature oracle, and the
+  closed-form normal-equation matrix against that oracle.
 
 All randomness is derived from one suite seed, so two runs with the same
 seed produce identical numbers.
@@ -370,7 +371,7 @@ def tridiag_checks(seed: int = DEFAULT_SEED, draws: int = 50) -> list[CheckResul
 
 
 def estimator_checks() -> list[CheckResult]:
-    """Impulse collapse, recovery accuracy, path monotonicity, convergence."""
+    """Impulse collapse, recovery, path monotonicity, oracle convergence and agreement."""
     spec = kernels.tc(beta=0.5)
     times = np.linspace(0.0, 5.0, 51)
     outputs = np.exp(-times)
@@ -412,12 +413,12 @@ def estimator_checks() -> list[CheckResult]:
         est.ExpSumInput([1.0], [0.8]),
         0.0,
     )
-    reference, _ = est.output_kernel(
+    reference, _ = est.output_kernel_quadrature(
         spec, conv_data, QuadratureConfig(panels=32, nodes=8)
     )
     errors = []
     for panels in (2, 4, 8):
-        approx, _ = est.output_kernel(
+        approx, _ = est.output_kernel_quadrature(
             spec, conv_data, QuadratureConfig(panels=panels, nodes=2)
         )
         errors.append(float(np.max(np.abs(approx - reference))))
@@ -429,6 +430,16 @@ def estimator_checks() -> list[CheckResult]:
             2.0,
             comparison=">=",
             details="error shrink factor per panel doubling",
+        )
+    )
+
+    closed, _ = est.output_kernel(spec, conv_data)
+    results.append(
+        CheckResult(
+            "estimator.closed_form_vs_quadrature",
+            float(np.max(np.abs(closed - reference)) / np.max(np.abs(reference))),
+            1e-10,
+            details="closed-form A against the 32-panel quadrature, relative to max |A|",
         )
     )
     return results

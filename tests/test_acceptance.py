@@ -111,6 +111,7 @@ def test_acceptance_6_estimator():
         "estimator.noise_free_recovery": (1e-3, LE),
         "estimator.coefficient_norm_monotone": (1.0 + 1e-12, LE),
         "estimator.quadrature_self_convergence": (2.0, GE),
+        "estimator.closed_form_vs_quadrature": (1e-10, LE),
     }
     _gate(6, "impulse-response estimator", checks, pins)
 

@@ -350,3 +350,49 @@ def test_tc_is_dc_at_equal_rates(tmp_path):
             assert cli.main(argv) == 0
             outputs[name] = {p: _below_hash(out / p) for p in sorted(os.listdir(out))}
         assert outputs["tc"] == outputs["dc"], command
+
+
+BAD_INTEGERS = ('"abc"', "NaN", "1e400", "true", "2.5")
+
+
+@pytest.mark.parametrize("text", BAD_INTEGERS)
+@pytest.mark.parametrize(
+    "command,key,block",
+    [
+        ("estimate", "estimation.eval_points", '{"estimation": {"eval_points": %s}}'),
+        ("verify", "verify.mc_count", '{"verify": {"mc_count": %s}}'),
+        ("verify", "verify.seed", '{"verify": {"seed": %s}}'),
+        ("sample", "sampling.count", '{"sampling": {"count": %s}}'),
+        ("sample", "sampling.seed", '{"sampling": {"seed": %s}}'),
+        ("sample", "sampling.grid.num", '{"sampling": {"grid": {"num": %s}}}'),
+        ("tridiag", "tridiag.grid.num", '{"tridiag": {"grid": {"num": %s}}}'),
+        ("norm", "norm.truncation", '{"norm": {"truncation": %s}}'),
+    ],
+)
+def test_integer_settings_name_the_key(tmp_path, capsys, monkeypatch, command, key, block, text):
+    from dckernel import estimator
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("estimate ran before its settings were checked")
+
+    monkeypatch.setattr(estimator, "estimate", no_fit)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(block % text)
+    data = impulse_fixture(tmp_path / "data.csv")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "estimate":
+        argv += ["--data", data]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be an integer")
+
+
+def test_expand_integer_settings(tmp_path, capsys):
+    for key in ("truncation", "grid_points"):
+        for text in BAD_INTEGERS:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(
+                '{"kernel": {"variant": "spline1"}, "expand": {"%s": %s}}' % (key, text)
+            )
+            assert cli.main(["expand", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+            assert f"expand.{key} must be an integer" in capsys.readouterr().err

@@ -1,12 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from dckernel import estimator, kernels
+from dckernel import estimator, kernels, quadrature
 from dckernel.errors import ConditioningError, DomainError
 from dckernel.grids import halfline_grid
 from dckernel.kernelmat import assemble
-from dckernel.quadrature import QuadratureConfig
+from dckernel.quadrature import QuadratureConfig, refined
 
 # step-response representer of the beta = 0.5 single-rate kernel,
 # integral of exp(-max(t, nu)) over nu in [0, s], frozen from exact arithmetic
@@ -25,7 +28,7 @@ def step_dataset(times, outputs=None, noise=0.0):
 def test_step_and_expsum_values():
     step = estimator.StepInput(2.0)
     assert np.array_equal(step.value([-1.0, 0.0, 3.0]), [0.0, 2.0, 2.0])
-    assert step.breakpoints() == (0.0,)
+    assert [list(a) for a in step.switched_exponentials()] == [[2.0], [0.0], [0.0]]
 
     mix = estimator.ExpSumInput([1.0, 2.0], [0.5, 0.0])
     assert mix.value(0.0) == pytest.approx(3.0)
@@ -33,11 +36,14 @@ def test_step_and_expsum_values():
     assert mix.value(2.0) == pytest.approx(np.exp(-1.0) + 2.0)
 
 
-def test_zoh_values_and_breakpoints():
+def test_zoh_values_and_switched_terms():
     zoh = estimator.ZohInput([0.0, 1.0, 2.5], [1.0, -1.0, 0.5])
     got = zoh.value([-0.1, 0.0, 0.99, 1.0, 3.0, 10.0])
     assert np.array_equal(got, [0.0, 1.0, 1.0, -1.0, 0.5, 0.5])
-    assert zoh.breakpoints() == (0.0, 1.0, 2.5)
+    jumps, rates, starts = zoh.switched_exponentials()
+    assert list(jumps) == [1.0, -2.0, 1.5]
+    assert list(rates) == [0.0, 0.0, 0.0]
+    assert list(starts) == [0.0, 1.0, 2.5]
     # zero before the first hold instant when it starts late
     assert estimator.ZohInput([0.5], [2.0]).value(0.2) == 0.0
 
@@ -108,7 +114,7 @@ def test_output_kernel_against_generic_quadrature():
     spec = kernels.dc(0.2, 0.3)
     times = np.array([0.6, 1.1, 1.9])
     ds = step_dataset(times)
-    A, _ = estimator.output_kernel(spec, ds)
+    A, _ = estimator.output_kernel_quadrature(spec, ds)
     assert np.array_equal(A, A.T)
 
     def kernel(tau, nu):
@@ -118,6 +124,9 @@ def test_output_kernel_against_generic_quadrature():
     ref, err = dblquad(lambda nu, tau: kernel(tau, nu), 0.0, 1.9, 0.0, 1.1)
     assert err < 1e-6
     assert A[2, 1] == pytest.approx(ref, abs=5e-7)
+    closed, _ = estimator.output_kernel(spec, ds)
+    assert np.array_equal(closed, closed.T)
+    assert closed[2, 1] == pytest.approx(ref, abs=5e-7)
 
 
 def test_zero_time_sample_contributes_nothing():
@@ -223,11 +232,197 @@ def test_quadrature_self_convergence():
     ds = estimator.Dataset(
         times, np.zeros(6), estimator.ExpSumInput([1.0], [0.8]), 0.0
     )
-    ref, _ = estimator.output_kernel(spec, ds, QuadratureConfig(panels=32, nodes=8))
+    ref, _ = estimator.output_kernel_quadrature(
+        spec, ds, QuadratureConfig(panels=32, nodes=8)
+    )
     errs = []
     for panels in (2, 4):
-        coarse, _ = estimator.output_kernel(
+        coarse, _ = estimator.output_kernel_quadrature(
             spec, ds, QuadratureConfig(panels=panels, nodes=2)
         )
         errs.append(np.max(np.abs(coarse - ref)))
     assert errs[0] / errs[1] >= 2.0
+
+
+ORACLE = QuadratureConfig(panels=4, nodes=8)
+ORACLE_SPECS = {
+    "tc": kernels.tc(0.5),
+    "dc": kernels.dc(0.6, 0.4),
+    "dc_wide": kernels.dc(0.3, 0.7),
+    "dc_equal": kernels.dc(0.35, 0.35),
+    "ss": kernels.ss(0.6),
+}
+OUTPUT_TIMES = np.array([0.0, 0.35, 0.8, 1.7, 2.6])
+PROBES = np.array([0.0, 0.2, 0.8, 1.3, 2.6, 4.0])
+
+
+def _rel(got, want):
+    # a zero reference (a hold that starts at the only sample) needs exact zeros
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+def _kernel_rates(spec):
+    # rate 0 plus every kernel exponent that is a legal input rate
+    rates = {0.0}
+    for _, p, q in kernels.triangle_terms(spec):
+        rates.update(r for r in (p, q) if r >= 0.0)
+    return sorted(rates)
+
+
+class DelayedExpInput(estimator.InputSignal):
+    """sum c exp(-r (x - b)) H(x - b) with arbitrary switch times b.
+
+    No shipped input mixes nonzero rates with late switch times; this one
+    drives every rate pairing of the closed form.
+    """
+
+    def __init__(self, amps, rates, starts):
+        self.terms = tuple(np.asarray(v, dtype=float) for v in (amps, rates, starts))
+
+    def value(self, x):
+        amps, rates, starts = self.terms
+        lag = np.asarray(x, dtype=float)[..., None] - starts
+        on = lag >= 0.0
+        return np.sum(np.where(on, amps * np.exp(-rates * np.where(on, lag, 0.0)), 0.0), axis=-1)
+
+    def switched_exponentials(self):
+        return self.terms
+
+
+def _inputs(spec, times):
+    rates = _kernel_rates(spec)
+    p = kernels.triangle_terms(spec)[0][1]
+    return {
+        "step": estimator.StepInput(1.3),
+        "expsum": estimator.ExpSumInput(np.linspace(1.0, -0.6, len(rates)), rates),
+        # hold times at the output times, as the CLI builds them
+        "zoh_at_outputs": estimator.ZohInput(times, np.cos(2.0 * times + 0.3)),
+        "zoh_late": estimator.ZohInput([0.3, 0.55, 1.2, 2.0], [0.7, -1.1, 0.4, 1.5]),
+        "delayed_exp": DelayedExpInput(
+            [1.0, -0.8, 0.5, 0.3, 0.9], [0.0, p, 0.7, 0.7, 0.0], [0.0, 0.45, 0.45, 1.9, 0.8]
+        ),
+    }
+
+
+def _assert_matches_oracle(spec, ds):
+    A, basis = estimator.output_kernel(spec, ds)
+    qA, qbasis = estimator.output_kernel_quadrature(spec, ds, ORACLE)
+    fA, fbasis = estimator.output_kernel_quadrature(spec, ds, refined(ORACLE))
+    # agreement only means something where the oracle has converged
+    assert _rel(qA, fA) <= 1e-12
+    assert _rel(qbasis(PROBES), fbasis(PROBES)) <= 1e-12
+    assert np.array_equal(A, A.T)
+    assert _rel(A, fA) <= 1e-10
+    assert _rel(basis(PROBES), fbasis(PROBES)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "kind", ["step", "expsum", "zoh_at_outputs", "zoh_late", "delayed_exp"]
+)
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_closed_form_matches_quadrature_oracle(name, kind):
+    spec = ORACLE_SPECS[name]
+    signal = _inputs(spec, OUTPUT_TIMES)[kind]
+    ds = estimator.Dataset(OUTPUT_TIMES, np.zeros(OUTPUT_TIMES.size), signal, 0.0)
+    _assert_matches_oracle(spec, ds)
+
+
+@pytest.mark.parametrize(
+    "kind", ["step", "expsum", "zoh_at_outputs", "zoh_late", "delayed_exp"]
+)
+def test_closed_form_single_sample(kind):
+    spec = kernels.dc(0.6, 0.4)
+    times = np.array([1.4])
+    ds = estimator.Dataset(times, np.zeros(1), _inputs(spec, times)[kind], 0.0)
+    _assert_matches_oracle(spec, ds)
+
+
+def test_closed_form_rates_next_to_kernel_rates():
+    # input rates 1e-12 and 1e-9 away from alpha + beta
+    spec = kernels.dc(0.6, 0.4)
+    signal = estimator.ExpSumInput([1.0, -0.5, 0.25], [1.0, 1.0 + 1e-12, 1.0 + 1e-9])
+    ds = estimator.Dataset(OUTPUT_TIMES, np.zeros(OUTPUT_TIMES.size), signal, 0.0)
+    _assert_matches_oracle(spec, ds)
+
+
+def test_closed_form_stays_finite_at_long_times():
+    times = np.array([1.0, 300.0, 900.0, 2000.0])
+    zoh = estimator.ZohInput([0.0, 299.0, 1500.0], [1.0, -1.0, 2.0])
+    for spec in ORACLE_SPECS.values():
+        ds = estimator.Dataset(times, np.zeros(4), zoh, 0.0)
+        A, basis = estimator.output_kernel(spec, ds)
+        assert np.all(np.isfinite(A))
+        assert np.all(np.isfinite(basis(np.array([0.0, 1000.0, 5000.0]))))
+
+
+def test_production_path_uses_no_quadrature(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("production path reached quadrature or pointwise kernels")
+
+    monkeypatch.setattr(quadrature, "_gauss_legendre", forbidden)
+    monkeypatch.setattr(estimator, "_gauss_legendre", forbidden)
+    monkeypatch.setattr(estimator, "eval_kernel", forbidden)
+    spec = kernels.ss(0.6)
+    for signal in _inputs(spec, OUTPUT_TIMES).values():
+        ds = estimator.Dataset(OUTPUT_TIMES, np.zeros(OUTPUT_TIMES.size), signal, 0.0)
+        A, basis = estimator.output_kernel(spec, ds)
+        assert basis(PROBES).shape == (PROBES.size, OUTPUT_TIMES.size)
+        fit = estimator.estimate(spec, ds, gamma=0.1)
+        assert np.isfinite(estimator.reconstruct(fit, 1.0))
+
+
+def test_quadrature_oracle_refuses_impulse():
+    ds = estimator.Dataset(np.array([0.5]), np.zeros(1), estimator.ImpulseInput(), 0.0)
+    with pytest.raises(DomainError):
+        estimator.output_kernel_quadrature(kernels.tc(0.5), ds)
+
+
+def test_representers_need_nonnegative_times():
+    _, basis = estimator.output_kernel(kernels.tc(0.5), step_dataset([0.5, 1.0]))
+    with pytest.raises(DomainError):
+        basis(np.array([-0.1]))
+
+
+SPREADS = st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, 1e-6, -1e-4, 0.3, 0.999, 1.0, 2.5, 40.0])
+BASES = st.floats(0.0, 60.0)
+
+
+def _mp_d1(x, y):
+    with mpmath.workdps(40):
+        return mpmath.quad(lambda u: mpmath.exp(-(x + u * (y - x))), [0, 1])
+
+
+def _mp_d2(x, y, z):
+    # outer integral by quadrature; the inner one, over v in [0, 1 - u] of
+    # exp(-v (z - x)), in closed form at 40 digits
+    def inner(u):
+        length = 1 - u
+        c = z - x
+        section = length if c == 0 else -mpmath.expm1(-c * length) / c
+        return mpmath.exp(-(x + u * (y - x))) * section
+
+    with mpmath.workdps(40):
+        return mpmath.quad(inner, [0, 1])
+
+
+def _close(got, want, rel=1e-13):
+    want = float(want)
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=BASES, dx=SPREADS)
+def test_psi_and_d1_against_mpmath(x, dx):
+    y = max(x + dx, 0.0)
+    _close(float(estimator._psi(x)), _mp_d1(0, mpmath.mpf(x)))
+    _close(float(estimator._d1(x, y)), _mp_d1(mpmath.mpf(x), mpmath.mpf(y)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=BASES, dy=SPREADS, dz=SPREADS)
+def test_d2_against_mpmath(x, dy, dz):
+    y = max(x + dy, 0.0)
+    z = max(y + dz, 0.0)
+    want = _mp_d2(mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(z))
+    for args in ((x, y, z), (z, x, y), (y, z, x)):
+        _close(float(estimator._d2(*args)), want)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,40 @@ def test_frozen_point_values():
 def test_invalid_parameters(bad):
     with pytest.raises(DomainError):
         bad()
+
+
+def test_stray_hyperparameters_rejected():
+    bad = [
+        (lambda: kernels.KernelSpec("ss", alpha=1.0, beta=-2.0, rho="junk"), "beta"),
+        (lambda: kernels.KernelSpec("ss", alpha=1.0, rho=0.2), "rho"),
+        (lambda: kernels.KernelSpec("dc", alpha=0.6, beta=0.4, rho=0.0), "rho"),
+        (lambda: kernels.KernelSpec("spline1", alpha=1.0), "alpha"),
+        (lambda: kernels.KernelSpec("genspline1", rho=0.2, beta=1.0), "beta"),
+        # tc derives alpha from beta and accepts no other value
+        (lambda: kernels.KernelSpec("tc", alpha=0.7, beta=0.5), "alpha"),
+    ]
+    for build, name in bad:
+        with pytest.raises(DomainError, match=name):
+            build()
+    assert kernels.ss(1.0) == kernels.KernelSpec("ss", alpha=1.0, beta=None)
+    assert hash(kernels.ss(1.0)) == hash(kernels.KernelSpec("ss", alpha=1.0))
+    # a copy of a tc spec carries the derived alpha back in
+    spec = kernels.tc(0.5)
+    assert kernels.KernelSpec("tc", alpha=0.5, beta=0.5) == spec
+    assert dataclasses.replace(spec) == spec
+
+
+def test_triangle_terms_reproduce_kernels():
+    tau, nu = np.meshgrid(np.linspace(0.0, 4.0, 9), np.linspace(0.0, 4.0, 9))
+    hi, lo = np.maximum(tau, nu), np.minimum(tau, nu)
+    for spec in (kernels.tc(0.5), kernels.dc(0.3, 0.7), kernels.ss(0.6)):
+        terms = kernels.triangle_terms(spec)
+        assert all(p > 0.0 and p + q > 0.0 for _, p, q in terms)
+        value = sum(w * np.exp(-p * hi - q * lo) for w, p, q in terms)
+        assert np.allclose(value, kernels.eval_kernel(spec, tau, nu), rtol=1e-14, atol=0.0)
+    assert kernels.triangle_terms(kernels.tc(0.5))[0][2] == 0.0
+    with pytest.raises(DomainError):
+        kernels.triangle_terms(kernels.spline1())
 
 
 def test_domain_rejection():
