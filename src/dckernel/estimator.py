@@ -297,23 +297,21 @@ class _Group:
 
     Node k of anchor j sits at max(s_j - b, 0) for the k-th largest switch
     time b, so nodes ascend along each row.  A cut k splits the nodes into
-    the k below it and the rest; `below`/`above` give the node just under
-    and just over each cut (zero where there is none).
+    the k below it and the rest; ``padded[:, k]`` and ``padded[:, k + 1]``
+    are the nodes just under and just over it (zero where there is none).
     """
 
     def __init__(self, rate, amps, starts, anchors):
         self.rate = rate
         self.amps = amps
         self.starts = starts
-        n, m = anchors.size, starts.size
         self.nodes = np.maximum(anchors[:, None] - starts[None, ::-1], 0.0)
         self.node_amps = amps[::-1]
-        self.below = np.zeros((n, m + 1))
-        self.below[:, 1:] = self.nodes
-        self.above = np.zeros((n, m + 1))
-        self.above[:, :m] = self.nodes
-        self.gaps = np.zeros((n, m + 1))  # gaps[:, k] = node k - node k-1
-        self.gaps[:, 1:m] = np.diff(self.nodes, axis=1)
+        self.padded = np.pad(self.nodes, ((0, 0), (1, 1)))
+        # gaps[:, k] = node k - node k-1, zero before the first and after the last
+        self.gaps = np.diff(
+            self.nodes, axis=1, prepend=self.nodes[:, :1], append=self.nodes[:, -1:]
+        )
 
     def cuts(self, anchors, x):
         """Number of nodes <= x >= 0 for each anchor; broadcasts."""
@@ -399,8 +397,8 @@ class _ClosedForm:
                     continue
                 Ti = T[i, :live, None]
                 k = group.cuts(s[cols], Ti)
-                below = np.maximum(Ti - group.below[cols, k], 0.0)
-                above = np.maximum(group.above[cols, k] - Ti, 0.0)
+                below = np.maximum(Ti - group.padded[cols, k], 0.0)
+                above = np.maximum(group.padded[cols, k + 1] - Ti, 0.0)
                 v = mass[cols, k]
                 lower = np.exp(-rr * below) * sq[cols, k] + _phi(p, rr, below) * low[cols, k]
                 upper = sqT[i, :live, None] * np.exp(-r * above) * v + stT[i, :live, None] * (
@@ -420,8 +418,8 @@ class _ClosedForm:
         for w, p, q, group, low, mass, tail in self.blocks:
             r = group.rate
             k = group.cuts(self.anchors, x)
-            below = np.maximum(x - group.below[cols, k], 0.0)
-            above = np.maximum(group.above[cols, k] - x, 0.0)
+            below = np.maximum(x - group.padded[cols, k], 0.0)
+            above = np.maximum(group.padded[cols, k + 1] - x, 0.0)
             v = mass[cols, k]
             out += w * (
                 np.exp(-p * below) * low[cols, k]

@@ -36,7 +36,7 @@ def test_step_and_expsum_values():
     assert mix.value(2.0) == pytest.approx(np.exp(-1.0) + 2.0)
 
 
-def test_zoh_values_and_switched_terms():
+def test_zoh_values_and_breakpoints():
     zoh = estimator.ZohInput([0.0, 1.0, 2.5], [1.0, -1.0, 0.5])
     got = zoh.value([-0.1, 0.0, 0.99, 1.0, 3.0, 10.0])
     assert np.array_equal(got, [0.0, 1.0, 1.0, -1.0, 0.5, 0.5])
