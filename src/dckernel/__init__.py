@@ -56,7 +56,7 @@ _EXPORTS = {
     "assemble": "kernelmat",
     "markov_factors": "kernelmat",
     "tridiagonal_inverse": "kernelmat",
-    "reconstruct_from_factors": "kernelmat",
+    "QuasiseparableGram": "kernelmat",
     "psd_check": "kernelmat",
     # estimator
     "ImpulseInput": "estimator",

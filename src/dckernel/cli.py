@@ -328,6 +328,8 @@ def _cmd_estimate(cfg: dict, args) -> int:
         "coefficients": [float(c) for c in fit.coefficients],
         "residuals": [float(r) for r in residuals],
         "fit_percent": fit_percent,
+        "solver": fit.operator.kind,
+        "solve_residual_rel": fit.solve_residual_rel,
         "gamma_search": None
         if search is None
         else {

@@ -35,11 +35,15 @@ divided differences of exp(-x) behind the closed forms (`_psi`, `_d1`,
 `_d2`) stay exact when decay rates coincide, as with tc's q = 0 or an
 input rate equal to a kernel rate.
 
-An impulse input short-circuits all of it: the representers collapse to
-kernel sections and A to the Gram matrix.  `output_kernel_quadrature`
-computes the same A and representers by composite Gauss-Legendre
-quadrature with breakpoints at every kink; it serves only as an
-independent oracle for checks and tests.
+An impulse input needs none of it: the representers are kernel sections
+and A is the kernel's Gram matrix K, which `kernelmat.QuasiseparableGram`
+holds as O(r n) generators, so the fit, the holdout search and the fitted
+outputs cost O(r^2 n) time and memory and K is never formed.  Convolved
+inputs keep their dense A in a `DenseOperator`, which offers the same
+operations (solve, matvec, cross, leading) by dense Cholesky.
+`output_kernel_quadrature` computes the convolved A and representers by
+composite Gauss-Legendre quadrature with breakpoints at every kink; it
+serves only as an independent oracle for checks and tests.
 """
 
 from __future__ import annotations
@@ -50,10 +54,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import ConditioningError, DomainError
+from .errors import DomainError
 from .grids import HALFLINE, TimeGrid
 from .kernels import KernelSpec, eval_kernel, triangle_terms
-from .kernelmat import assemble
+from .kernelmat import (
+    RESIDUAL_TOL,
+    QuasiseparableGram,
+    _checked_residual,
+    _not_positive_definite,
+)
 from .quadrature import QuadratureConfig, _gauss_legendre
 
 __all__ = [
@@ -67,6 +76,7 @@ __all__ = [
     "GAMMA_FLOOR",
     "output_kernel",
     "output_kernel_quadrature",
+    "DenseOperator",
     "solve_coefficients",
     "EstimateResult",
     "estimate",
@@ -436,24 +446,25 @@ def _check_halfline(spec):
 
 
 def output_kernel(spec: KernelSpec, dataset: Dataset):
-    """Normal-equation matrix A and a basis callable t -> (len(t), n).
+    """Normal-equation operator for A and a basis callable t -> (len(t), n).
 
     Both are closed form (see the module docstring).  For an impulse input
-    A is the kernel Gram matrix and the basis rows are kernel sections.
+    the operator is the `kernelmat.QuasiseparableGram` of the sample times
+    and the basis rows are kernel sections; otherwise it is a
+    `DenseOperator` around the closed-form A.
     """
     _check_halfline(spec)
     times = dataset.output_times
     if dataset.input.is_impulse:
-        gram = assemble(spec, TimeGrid(times, HALFLINE)).values
 
         def basis(t):
             t = np.atleast_1d(np.asarray(t, dtype=float))
             return eval_kernel(spec, t[:, None], times[None, :])
 
-        return gram, basis
+        return QuasiseparableGram(spec, TimeGrid(times, HALFLINE)), basis
 
     closed = _ClosedForm(spec, times, dataset.input)
-    return closed.matrix(), closed.representers
+    return DenseOperator(closed.matrix()), closed.representers
 
 
 def _rowwise_rule(fixed, perrow, panels, nodes):
@@ -557,46 +568,87 @@ def output_kernel_quadrature(
 
 
 def solve_coefficients(A: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-    """Solve (A + gamma I) c = y by Cholesky with a residual guard."""
+    """Solve (A + gamma I) c = y by dense Cholesky with a residual guard.
+
+    Raises ConditioningError when the factorization fails or when
+    |A c + gamma c - y| exceeds `kernelmat.RESIDUAL_TOL` |y|.
+    """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     n = A.shape[0]
-    system = A + gamma * np.eye(n)
     try:
-        factor = cho_factor(system)
+        factor = cho_factor(A + gamma * np.eye(n))
     except LinAlgError as exc:
-        raise ConditioningError(
-            f"regularized system is not positive definite at gamma={gamma:g}"
-        ) from exc
+        raise _not_positive_definite(gamma) from exc
     c = cho_solve(factor, y)
-    residual = float(np.linalg.norm(system @ c - y))
-    scale = max(float(np.linalg.norm(y)), 1e-300)
-    if residual > 1e-9 * scale:
-        raise ConditioningError(
-            f"solve residual {residual:.3e} exceeds 1e-09 of the data norm; "
-            f"increase gamma (currently {gamma:g})"
-        )
+    _checked_residual(A @ c + gamma * c - y, y, gamma)
     return c
+
+
+class DenseOperator:
+    """A dense normal-equation matrix A behind `kernelmat.QuasiseparableGram`'s interface.
+
+    Convolved inputs fit through it; `solve` runs `solve_coefficients`
+    once per gamma.  Arrays of several solutions carry one per row.
+    """
+
+    kind = "dense"
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+
+    def leading(self, m: int) -> DenseOperator:
+        """The normal-equation matrix of the first ``m`` samples."""
+        return DenseOperator(self.A[:m, :m])
+
+    def dense(self) -> np.ndarray:
+        """A itself."""
+        return self.A
+
+    def matvec(self, x) -> np.ndarray:
+        """A x for one vector x of length n."""
+        return self.A @ x
+
+    def cross(self, m: int, c) -> np.ndarray:
+        """A[m:, :m] c for one coefficient vector per row of ``c``."""
+        rows = self.A[m:, :m]
+        return np.array([rows @ ci for ci in c])
+
+    def solve(self, y, gamma) -> np.ndarray:
+        """(A + gamma I) c = y for a scalar gamma or, row by row, a 1-D grid."""
+        if np.ndim(gamma) == 0:
+            return solve_coefficients(self.A, y, float(gamma))
+        return np.array([solve_coefficients(self.A, y, float(g)) for g in gamma])
 
 
 @dataclass(frozen=True)
 class EstimateResult:
     """Fitted coefficients plus everything needed to evaluate the fit.
 
-    ``search`` holds the holdout scores when gamma came from a grid.
+    ``operator`` is the normal-equation operator the fit solved with
+    (`output_kernel`); ``search`` holds the holdout scores when gamma came
+    from a grid.
     """
 
     coefficients: np.ndarray
     spec: KernelSpec
     dataset: Dataset
     gamma: float
-    output_gram: np.ndarray
+    operator: object = field(repr=False)
     basis: object = field(repr=False)
     search: GammaSearch | None = None
 
     def fitted_outputs(self) -> np.ndarray:
         """Model outputs at the dataset's own sample times."""
-        return self.output_gram @ self.coefficients
+        return self.operator.matvec(self.coefficients)
+
+    @property
+    def solve_residual_rel(self) -> float:
+        """|(A + gamma I) c - y| / |y|, the quantity the solve's guard bounds."""
+        c = self.coefficients
+        y = self.dataset.outputs
+        residual = self.fitted_outputs() + self.gamma * c - y
+        return float(_checked_residual(residual, y, self.gamma)[0])
 
 
 def reconstruct(result: EstimateResult, t):
@@ -639,13 +691,13 @@ def estimate(
         gamma = _effective_gamma(gamma, dataset)
     elif gamma is not None:
         raise DomainError("set estimation.gamma or estimation.gamma_grid, not both")
-    A, basis = output_kernel(spec, dataset)
+    operator, basis = output_kernel(spec, dataset)
     search = None
     if gamma_grid is not None:
-        search = grid_search_gamma(A, dataset.outputs, gamma_grid)
+        search = grid_search_gamma(operator, dataset.outputs, gamma_grid)
         gamma = _effective_gamma(search.best_gamma, dataset)
-    c = solve_coefficients(A, dataset.outputs, gamma)
-    return EstimateResult(c, spec, dataset, gamma, A, basis, search)
+    c = operator.solve(dataset.outputs, gamma)
+    return EstimateResult(c, spec, dataset, gamma, operator, basis, search)
 
 
 @dataclass(frozen=True)
@@ -661,14 +713,18 @@ class GammaSearch:
         return float(self.gammas[self.best_index])
 
 
-def grid_search_gamma(A: np.ndarray, outputs: np.ndarray, gammas) -> GammaSearch:
+def grid_search_gamma(operator, outputs: np.ndarray, gammas) -> GammaSearch:
     """Pick gamma by one chronological holdout on the last fifth of the data.
 
-    ``A`` is the normal-equation matrix of all samples and ``outputs``
-    their values, both in time order.  The model is fitted on the earlier
-    samples and scored by mean squared prediction error on the held-out
-    outputs.  Ties go to the larger gamma.  Needs at least five samples so
-    the holdout is nonempty while the training block stays usable.
+    ``operator`` is the normal-equation operator of all samples
+    (`output_kernel`) and ``outputs`` their values, both in time order.
+    The model is fitted on the earlier samples, for the whole grid at
+    once, and scored by mean squared prediction error on the held-out
+    outputs.  Ties go to the larger gamma, and scores below
+    (RESIDUAL_TOL max |held-out output|)^2, where the solves' own accuracy
+    ends and only rounding tells fits apart, count as tied.  Needs at
+    least five samples so the holdout is nonempty while the training block
+    stays usable.
     """
     g = np.sort(np.asarray(gammas, dtype=float))
     if g.ndim != 1 or g.size == 0:
@@ -681,15 +737,13 @@ def grid_search_gamma(A: np.ndarray, outputs: np.ndarray, gammas) -> GammaSearch
         raise DomainError("holdout search needs at least five samples")
     n_hold = max(1, int(round(0.2 * n)))
     m = n - n_hold
-    A_train = A[:m, :m]
-    cross = A[m:, :m]
-    y_train = outputs[:m]
+    predictions = operator.cross(m, operator.leading(m).solve(outputs[:m], g))
     y_hold = outputs[m:]
+    floor = (RESIDUAL_TOL * float(np.max(np.abs(y_hold)))) ** 2
     scores = np.empty(g.size)
     best = 0
-    for idx, gamma in enumerate(g):
-        c = solve_coefficients(A_train, y_train, float(gamma))
-        scores[idx] = float(np.mean((cross @ c - y_hold) ** 2))
-        if scores[idx] <= scores[best]:
+    for idx, prediction in enumerate(predictions):
+        scores[idx] = float(np.mean((prediction - y_hold) ** 2))
+        if max(scores[idx], floor) <= max(scores[best], floor):
             best = idx
     return GammaSearch(g, scores, best)

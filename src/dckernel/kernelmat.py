@@ -1,16 +1,20 @@
-"""Kernel matrices on half-line grids and their sparse inverse structure.
+"""Kernel matrices on half-line grids: dense, tridiagonal-inverse, quasiseparable.
 
 The dc kernel restricted to a finite grid has a tridiagonal inverse.  The
 route here is constructive rather than a generic matrix inversion: the
 order-1 recursion behind the kernel (see `maxent.sample_dc_markov`) gives
 an upper-bidiagonal whitening map T with T K T' = I, so K^{-1} = T' T is
 tridiagonal by inspection and every entry beyond the first off-diagonal
-is an exact zero, not a small float.
+is an exact zero, not a small float.  `markov_factors` exposes the
+recursion coefficients and `tridiagonal_inverse` assembles K^{-1} from
+them.
 
-`markov_factors` exposes the recursion coefficients, `tridiagonal_inverse`
-assembles K^{-1} from them, and `reconstruct_from_factors` inverts the
-whitening map back into K so round-trip agreement can be measured against
-the directly assembled Gram matrix.
+`QuasiseparableGram` holds the Gram matrix of any half-line kernel as
+O(r n) generators, r the number of exponential terms on each triangle
+(`kernels.triangle_terms`: 1 for tc and dc, 2 for ss).  It solves with
+K + gamma I in O(r^2 n) time and memory, predicts held-out samples in
+O(r n) and multiplies by K in log2(n) vectorized passes, without forming
+K.
 """
 
 from __future__ import annotations
@@ -18,18 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh, solve_triangular
+from scipy.linalg import eigvalsh
 
 from .errors import ConditioningError, DomainError
 from .grids import HALFLINE, TimeGrid
-from .kernels import KernelSpec, eval_kernel, stable_gaps, stable_log_weight
+from .kernels import (
+    KernelSpec,
+    eval_kernel,
+    stable_gaps,
+    stable_log_weight,
+    triangle_terms,
+)
 
 __all__ = [
     "KernelMatrix",
     "assemble",
     "markov_factors",
     "tridiagonal_inverse",
-    "reconstruct_from_factors",
+    "QuasiseparableGram",
     "PsdReport",
     "psd_check",
     "max_off_tridiagonal",
@@ -105,18 +115,6 @@ def markov_factors(spec: KernelSpec, grid: TimeGrid):
     return transition, innovation_std
 
 
-def _whitening(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """Upper-bidiagonal T with T K T' = I."""
-    transition, innovation_std = markov_factors(spec, grid)
-    n = grid.n
-    T = np.zeros((n, n))
-    idx = np.arange(n)
-    T[idx, idx] = 1.0 / innovation_std
-    if n > 1:
-        T[idx[:-1], idx[:-1] + 1] = -transition[:-1] / innovation_std[:-1]
-    return T
-
-
 def tridiagonal_inverse(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """Inverse Gram matrix, assembled tridiagonally with exact zeros.
 
@@ -141,11 +139,186 @@ def tridiagonal_inverse(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def reconstruct_from_factors(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """Rebuild the Gram matrix from the whitening factors (K = M M')."""
-    T = _whitening(spec, grid)
-    M = solve_triangular(T, np.eye(grid.n), lower=False)
-    return M @ M.T
+RESIDUAL_TOL = 1e-9
+
+
+def _checked_residual(residual, y, gammas):
+    """Relative norms |residual| / |y| of solves along the last axis.
+
+    Raises ConditioningError naming the first gamma whose residual
+    exceeds RESIDUAL_TOL of the data norm.
+    """
+    norms = np.linalg.norm(np.atleast_2d(residual), axis=-1)
+    scale = max(float(np.linalg.norm(y)), 1e-300)
+    for norm, gamma in zip(norms, np.atleast_1d(gammas)):
+        if not norm <= RESIDUAL_TOL * scale:  # NaN fails too
+            raise ConditioningError(
+                f"solve residual {norm:.3e} exceeds {RESIDUAL_TOL:g} of the data norm; "
+                f"increase gamma (currently {gamma:g})"
+            )
+    return norms / scale
+
+
+def _not_positive_definite(gamma):
+    return ConditioningError(
+        f"regularized system is not positive definite at gamma={gamma:g}"
+    )
+
+
+def _running_sums(decay, b):
+    """f_i = decay_i f_{i-1} + b_i along axis 0, with f_{-1} = 0.
+
+    Recursive doubling: after the pass with stride s every f_i holds its
+    last 2s terms, decayed to i, and ``a[i]`` the decay across them, so
+    log2(n) vectorized passes of O(n) work replace n sequential steps.
+    Every decay lies in [0, 1], so products only shrink.
+    """
+    f = np.array(b, dtype=float)
+    a = np.broadcast_to(decay, f.shape).copy()
+    stride = 1
+    while stride < f.shape[0]:
+        f[stride:] += a[stride:] * f[:-stride]
+        a[stride:] *= a[:-stride]
+        stride *= 2
+    return f
+
+
+def _columns(x):
+    """Samples along axis 0: (n,) -> (n, 1), (g, n) -> (n, g)."""
+    return np.atleast_2d(np.asarray(x, dtype=float)).T
+
+
+class QuasiseparableGram:
+    """Gram matrix K of a half-line kernel, held as O(r n) generators.
+
+    On t_i >= t_j the kernel is sum_k w_k exp(-p_k t_i - q_k t_j)
+    (`kernels.triangle_terms`), written here in scaled form
+
+        K[i, j] = sum_k exp(-p_k (t_i - t_j)) d_k(t_j),
+        d_k(t)  = w_k exp(-(p_k + q_k) t),
+
+    and mirrored above the diagonal.  Every exponent is nonpositive, so no
+    generator overflows however long the horizon or underflows to a wrong
+    value however tight the spacing.  The generators are ``decay[i, k] =
+    exp(-p_k (t_i - t_{i-1}))`` (1 at i = 0) and ``scaled[i, k] =
+    d_k(t_i)``.
+
+    Arrays of several solutions carry one solution per row; ``gamma`` is
+    a scalar or a 1-D grid, and a grid is solved in one pass over the
+    samples with gamma as a vector axis.
+    """
+
+    kind = "quasiseparable"
+
+    def __init__(self, spec: KernelSpec, grid: TimeGrid):
+        if grid.domain != HALFLINE:
+            raise DomainError("expected a half-line grid")
+        w, p, q = (np.array(v) for v in zip(*triangle_terms(spec)))
+        self.spec = spec
+        self.grid = grid
+        t = grid.points
+        self.rates = p
+        self.decay = np.exp(-np.outer(np.diff(t, prepend=t[0]), p))
+        self.scaled = w * np.exp(-np.outer(t, p + q))
+
+    def leading(self, m: int) -> QuasiseparableGram:
+        """The Gram matrix of the first ``m`` samples."""
+        return QuasiseparableGram(self.spec, TimeGrid(self.grid.points[:m], HALFLINE))
+
+    def dense(self) -> np.ndarray:
+        """K as an n x n array, built from the generators (for checks)."""
+        t = self.grid.points
+        lag = np.maximum(t[:, None] - t[None, :], 0.0)
+        sections = np.exp(-lag[:, :, None] * self.rates)
+        low = np.tril(np.einsum("ijk,jk->ij", sections, self.scaled))
+        return low + np.tril(low, -1).T
+
+    def _apply(self, x):
+        """K x for x of shape (n, g)."""
+        out = np.zeros(x.shape)
+        for k in range(self.rates.size):
+            decay = self.decay[:, k, None]
+            scaled = self.scaled[:, k, None]
+            # on and below the diagonal: sum_{j <= i} exp(-p (t_i - t_j)) d(t_j) x_j
+            out += _running_sums(decay, scaled * x)
+            # above it: d(t_i) sum_{j > i} exp(-p (t_j - t_i)) x_j, run backward
+            ahead = _running_sums(np.roll(decay, -1, axis=0)[::-1], x[::-1])[::-1]
+            out[:-1] += scaled[:-1] * decay[1:] * ahead[1:]
+        return out
+
+    def matvec(self, x) -> np.ndarray:
+        """K x; ``x`` is one vector of length n or one per row."""
+        x = np.asarray(x, dtype=float)
+        return self._apply(_columns(x)).T.reshape(x.shape)
+
+    def cross(self, m: int, c) -> np.ndarray:
+        """K[m:, :m] c: predictions at the samples after the first ``m``.
+
+        For i >= m every entry is exp(-p (t_i - t_{m-1})) times the
+        decayed sum the coefficients leave at t_{m-1}.
+        """
+        c = np.asarray(c, dtype=float)
+        t = self.grid.points
+        last = np.exp(-np.outer(t[m - 1] - t[:m], self.rates)) * self.scaled[:m]
+        ahead = np.exp(-np.outer(t[m:] - t[m - 1], self.rates))
+        return (_columns(c).T @ last @ ahead.T).reshape(c.shape[:-1] + (t.size - m,))
+
+    def solve(self, y, gamma) -> np.ndarray:
+        """(K + gamma I) c = y by a generator Cholesky factor, with a residual guard.
+
+        The factor L has L[i, i] = pivot_i and, for i > j,
+        L[i, j] = sum_k exp(-p_k (t_i - t_j)) gen[j, k].  Row i needs only
+        S, the r x r sum of gen_l gen_l' over l < i decayed to t_i:
+
+            pivot_i^2 = K[i, i] + gamma - 1' S 1,
+            gen_i     = (d(t_i) - S 1) / pivot_i.
+
+        The forward solve z = L^{-1} y rides along as one more column
+        (row i of the factor of the matrix bordered by y ends in z_i), so
+        one pass over the samples factors and solves forward; a second,
+        backward, carries the decayed sum of the later coefficients.
+        Raises ConditioningError on a pivot <= 0 or when
+        |(K + gamma I) c - y| exceeds RESIDUAL_TOL |y|.
+        """
+        y = np.asarray(y, dtype=float)
+        gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
+        r = self.rates.size
+        decay = self.decay[:, :, None]
+        # T's columns 0..r-1 hold S and column r the decayed sum of gen_l z_l;
+        # moving from t_{i-1} to t_i scales T[k, l] by decay[i, k] decay[i, l]
+        bordered = np.pad(self.decay, ((0, 0), (0, 1)), constant_values=1.0)
+        carry = decay[:, :, None] * bordered[:, None, :, None]
+        rhs = np.column_stack([self.scaled, y])[:, :, None]
+        diag = self.scaled.sum(axis=1)[:, None] + gammas
+        n, width = diag.shape
+        T = np.zeros((r, r + 1, width))
+        pivot = np.empty((n, width))
+        row = np.empty((n, r + 1, width))
+        add = np.add.reduce  # ndarray.sum costs a Python-level call per step
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for i in range(n):
+                T *= carry[i]
+                sums = add(T)
+                pivot_i = np.sqrt(diag[i] - add(sums[:r]))
+                v = (rhs[i] - sums) / pivot_i
+                T += v[:r, None] * v
+                pivot[i] = pivot_i
+                row[i] = v
+        bad = ~np.all(pivot > 0.0, axis=0)
+        if bad.any():
+            raise _not_positive_definite(gammas[np.argmax(bad)])
+        # backward: c_i = (z_i - gen_i' ahead_i) / pivot_i, with row i pre-divided
+        row /= pivot[:, None]
+        gen, z = row[:, :r], row[:, r]
+        c = np.empty((n, width))
+        ahead = np.zeros((r, width))
+        for i in range(n - 1, -1, -1):
+            c_i = z[i] - add(gen[i] * ahead)
+            c[i] = c_i
+            ahead += c_i
+            ahead *= decay[i]
+        _checked_residual((self._apply(c) + gammas * c - y[:, None]).T, y, gammas)
+        return c[:, 0] if np.ndim(gamma) == 0 else c.T
 
 
 def max_off_tridiagonal(matrix: np.ndarray) -> float:

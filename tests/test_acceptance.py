@@ -108,6 +108,7 @@ def test_acceptance_6_estimator():
     checks = verification.estimator_checks()
     pins = {
         "estimator.impulse_collapses_to_gram": (1e-12, LE),
+        "estimator.structured_vs_dense": (1e-10, LE),
         "estimator.noise_free_recovery": (1e-3, LE),
         "estimator.coefficient_norm_monotone": (1.0 + 1e-12, LE),
         "estimator.quadrature_self_convergence": (2.0, GE),

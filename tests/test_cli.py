@@ -87,6 +87,8 @@ def test_estimate_impulse_fixture(tmp_path, capsys):
     assert report["fit_percent"] >= 99.9
     assert report["gamma_search"] is None
     assert len(report["coefficients"]) == 10
+    assert report["solver"] == "quasiseparable"
+    assert 0.0 <= report["solve_residual_rel"] <= 1e-9
     assert "fit=" in capsys.readouterr().out
 
     # byte-identical on a rerun
@@ -126,6 +128,9 @@ def test_estimate_zoh_data_column(tmp_path):
         ["estimate", "--config", cfg, "--data", str(data), "--out", str(tmp_path)]
     ) == 0
     assert (tmp_path / "estimate.csv").exists()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["solver"] == "dense"
+    assert 0.0 <= report["solve_residual_rel"] <= 1e-9
 
 
 def test_estimate_input_errors(tmp_path, capsys):

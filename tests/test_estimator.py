@@ -1,14 +1,15 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from dckernel import estimator, kernels, quadrature
+from dckernel import estimator, kernelmat, kernels, quadrature
 from dckernel.errors import ConditioningError, DomainError
 from dckernel.grids import halfline_grid
-from dckernel.kernelmat import assemble
+from dckernel.kernelmat import QuasiseparableGram, assemble
 from dckernel.quadrature import QuadratureConfig, refined
 
 # step-response representer of the beta = 0.5 single-rate kernel,
@@ -93,9 +94,11 @@ def test_impulse_bypass_is_exact():
     spec = kernels.dc(0.2, 0.3)
     times = np.linspace(0.1, 3.0, 6)
     ds = estimator.Dataset(times, np.zeros(6), estimator.ImpulseInput(), 0.0)
-    A, basis = estimator.output_kernel(spec, ds)
+    operator, basis = estimator.output_kernel(spec, ds)
     gram = assemble(spec, halfline_grid(times)).values
-    assert np.array_equal(A, gram)
+    # the Gram matrix is held as generators, never assembled
+    assert isinstance(operator, QuasiseparableGram)
+    assert np.max(np.abs(operator.dense() - gram)) <= 1e-15
     probes = np.array([0.05, 0.7, 2.2])
     expected = kernels.eval_kernel(spec, probes[:, None], times[None, :])
     assert np.array_equal(basis(probes), expected)
@@ -124,7 +127,7 @@ def test_output_kernel_against_generic_quadrature():
     ref, err = dblquad(lambda nu, tau: kernel(tau, nu), 0.0, 1.9, 0.0, 1.1)
     assert err < 1e-6
     assert A[2, 1] == pytest.approx(ref, abs=5e-7)
-    closed, _ = estimator.output_kernel(spec, ds)
+    closed = estimator.output_kernel(spec, ds)[0].dense()
     assert np.array_equal(closed, closed.T)
     assert closed[2, 1] == pytest.approx(ref, abs=5e-7)
 
@@ -132,7 +135,8 @@ def test_output_kernel_against_generic_quadrature():
 def test_zero_time_sample_contributes_nothing():
     spec = kernels.tc(0.5)
     ds = step_dataset([0.0, 0.8, 1.6])
-    A, basis = estimator.output_kernel(spec, ds)
+    operator, basis = estimator.output_kernel(spec, ds)
+    A = operator.dense()
     assert np.all(A[0, :] == 0.0)
     assert np.all(A[:, 0] == 0.0)
     assert np.all(basis(np.array([0.5]))[:, 0] == 0.0)
@@ -200,8 +204,9 @@ def test_grid_search_validation_and_ties():
     rng = np.random.default_rng(42)
     gram = assemble(spec, halfline_grid(times)).values
     y = gram @ rng.normal(size=10) + 0.01 * rng.normal(size=10)
-    # an impulse input's normal-equation matrix is the Gram matrix
-    search = estimator.grid_search_gamma(gram, y, [1.0, 1e-4, 1e-2])
+    # an impulse input's normal-equation operator is the Gram matrix's
+    operator = QuasiseparableGram(spec, halfline_grid(times))
+    search = estimator.grid_search_gamma(operator, y, [1.0, 1e-4, 1e-2])
     assert np.array_equal(search.gammas, np.sort(search.gammas))
     assert np.all(np.isfinite(search.scores))
     assert search.best_gamma == search.gammas[search.best_index]
@@ -215,15 +220,15 @@ def test_grid_search_validation_and_ties():
         estimator.estimate(spec, ds, gamma=0.1, gamma_grid=[0.1])
 
     # all-zero data scores every gamma identically; ties go to the largest
-    tie = estimator.grid_search_gamma(gram, np.zeros(10), [1e-3, 1e-1, 10.0])
+    tie = estimator.grid_search_gamma(operator, np.zeros(10), [1e-3, 1e-1, 10.0])
     assert tie.best_gamma == 10.0
 
     with pytest.raises(DomainError):
-        estimator.grid_search_gamma(gram[:4, :4], y[:4], [0.1, 1.0])
+        estimator.grid_search_gamma(operator.leading(4), y[:4], [0.1, 1.0])
     with pytest.raises(DomainError):
-        estimator.grid_search_gamma(gram, y, [])
+        estimator.grid_search_gamma(operator, y, [])
     with pytest.raises(DomainError):
-        estimator.grid_search_gamma(gram, y, [0.1, -1.0])
+        estimator.grid_search_gamma(operator, y, [0.1, -1.0])
 
 
 def test_quadrature_self_convergence():
@@ -305,7 +310,8 @@ def _inputs(spec, times):
 
 
 def _assert_matches_oracle(spec, ds):
-    A, basis = estimator.output_kernel(spec, ds)
+    operator, basis = estimator.output_kernel(spec, ds)
+    A = operator.dense()
     qA, qbasis = estimator.output_kernel_quadrature(spec, ds, ORACLE)
     fA, fbasis = estimator.output_kernel_quadrature(spec, ds, refined(ORACLE))
     # agreement only means something where the oracle has converged
@@ -350,8 +356,8 @@ def test_closed_form_stays_finite_at_long_times():
     zoh = estimator.ZohInput([0.0, 299.0, 1500.0], [1.0, -1.0, 2.0])
     for spec in ORACLE_SPECS.values():
         ds = estimator.Dataset(times, np.zeros(4), zoh, 0.0)
-        A, basis = estimator.output_kernel(spec, ds)
-        assert np.all(np.isfinite(A))
+        operator, basis = estimator.output_kernel(spec, ds)
+        assert np.all(np.isfinite(operator.dense()))
         assert np.all(np.isfinite(basis(np.array([0.0, 1000.0, 5000.0]))))
 
 
@@ -365,7 +371,7 @@ def test_production_path_uses_no_quadrature(monkeypatch):
     spec = kernels.ss(0.6)
     for signal in _inputs(spec, OUTPUT_TIMES).values():
         ds = estimator.Dataset(OUTPUT_TIMES, np.zeros(OUTPUT_TIMES.size), signal, 0.0)
-        A, basis = estimator.output_kernel(spec, ds)
+        _, basis = estimator.output_kernel(spec, ds)
         assert basis(PROBES).shape == (PROBES.size, OUTPUT_TIMES.size)
         fit = estimator.estimate(spec, ds, gamma=0.1)
         assert np.isfinite(estimator.reconstruct(fit, 1.0))
@@ -426,3 +432,56 @@ def test_d2_against_mpmath(x, dy, dz):
     want = _mp_d2(mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(z))
     for args in ((x, y, z), (z, x, y), (y, z, x)):
         _close(float(estimator._d2(*args)), want)
+
+
+def test_impulse_fit_never_forms_the_gram_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("impulse fit reached dense assembly or dense Cholesky")
+
+    monkeypatch.setattr(kernelmat, "assemble", forbidden)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
+    monkeypatch.setattr(estimator, "cho_factor", forbidden)
+    times = np.linspace(0.0, 6.0, 40)
+    ds = estimator.Dataset(times, np.exp(-times), estimator.ImpulseInput(), 1e-4)
+    for spec in (kernels.tc(0.5), kernels.dc(0.3, 0.7), kernels.ss(0.6)):
+        for grid in (None, [1e-4, 1e-2, 1.0]):
+            fit = estimator.estimate(spec, ds, gamma_grid=grid)
+            assert np.all(np.isfinite(fit.fitted_outputs()))
+            assert np.isfinite(estimator.reconstruct(fit, 1.0))
+
+
+@pytest.mark.parametrize(
+    "spec, times",
+    [
+        # 2 beta t reaches 80: markov_factors' absolute gap floor refuses this grid
+        (kernels.tc(0.5), np.linspace(0.1, 80.0, 60)),
+        (kernels.dc(0.3, 0.7), np.linspace(0.0, 60.0, 50)),
+        (kernels.ss(0.6), np.linspace(0.0, 40.0, 50)),
+        # 50 samples 1e-9 apart
+        (kernels.dc(0.6, 0.4), 1.0 + 1e-9 * np.arange(50)),
+        (kernels.ss(0.6), np.array([0.0])),
+        (kernels.tc(0.5), np.array([2.5])),
+    ],
+)
+def test_impulse_fit_edge_cases_match_dense_cholesky(spec, times):
+    y = np.exp(-0.3 * times) * np.cos(times)
+    ds = estimator.Dataset(times, y, estimator.ImpulseInput(), 1e-3)
+    gram = assemble(spec, halfline_grid(times)).values
+    for grid in (None, [1e-3, 1e-2, 1e-1]) if times.size >= 5 else (None,):
+        fit = estimator.estimate(spec, ds, gamma_grid=grid)
+        ref = estimator.solve_coefficients(gram, y, fit.gamma)
+        assert _rel(fit.coefficients, ref) <= 1e-10
+        assert _rel(fit.fitted_outputs(), gram @ ref) <= 1e-10
+
+
+def test_grid_search_exact_fits_tie_to_the_larger_gamma():
+    # exp(-t) lies in the tc(0.5) span, so small gammas predict the holdout
+    # to rounding; such scores (1e-33 here) must not decide the choice
+    times = np.linspace(0.1, 2.0, 10)
+    y = np.exp(-times)
+    operator = QuasiseparableGram(kernels.tc(0.5), halfline_grid(times))
+    dense = estimator.DenseOperator(operator.dense())
+    for op in (operator, dense):
+        search = estimator.grid_search_gamma(op, y, [1e-1, 1e-6, 1e-3])
+        assert np.all(search.scores[:2] <= 1e-25)
+        assert search.best_gamma == 1e-3

@@ -1,11 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from dckernel import kernelmat, kernels
+from dckernel import estimator, kernelmat, kernels
 from dckernel.errors import ConditioningError, DomainError
 from dckernel.grids import halfline_grid, unit_grid
 
 SPEC = kernels.dc(0.2, 0.3)
+
+
+def _whitening(spec, grid):
+    """Upper-bidiagonal T with T K T' = I."""
+    transition, innovation_std = kernelmat.markov_factors(spec, grid)
+    n = grid.n
+    T = np.zeros((n, n))
+    idx = np.arange(n)
+    T[idx, idx] = 1.0 / innovation_std
+    if n > 1:
+        T[idx[:-1], idx[:-1] + 1] = -transition[:-1] / innovation_std[:-1]
+    return T
+
+
+def reconstruct_from_factors(spec, grid):
+    """Rebuild the Gram matrix from the whitening factors (K = M M')."""
+    T = _whitening(spec, grid)
+    M = solve_triangular(T, np.eye(grid.n), lower=False)
+    return M @ M.T
 
 
 def test_assemble_is_bitwise_symmetric():
@@ -101,7 +123,7 @@ def test_uniform_grid_correlation_inverse_is_ar1():
 def test_reconstruct_round_trip():
     grid = halfline_grid(np.linspace(0.1, 2.5, 10))
     gram = kernelmat.assemble(SPEC, grid).values
-    rebuilt = kernelmat.reconstruct_from_factors(SPEC, grid)
+    rebuilt = reconstruct_from_factors(SPEC, grid)
     assert np.max(np.abs(rebuilt - gram)) <= 1e-12
 
 
@@ -156,3 +178,97 @@ def test_psd_check_verdicts():
         kernelmat.psd_check(np.zeros((2, 3)))
     with pytest.raises(DomainError):
         kernelmat.psd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+# ---- quasiseparable Gram operator against the dense oracle ----
+
+QS_SPECS = (kernels.tc(0.5), kernels.dc(0.6, 0.4), kernels.dc(0.3, 0.7), kernels.ss(0.6))
+
+
+@st.composite
+def qs_problems(draw):
+    """(spec, grid): t = 0 first, a run of spacings 1e-9, 2 * rate * t up to 60."""
+    spec = draw(st.sampled_from(QS_SPECS))
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate = spec.beta if spec.stable else spec.alpha
+    horizon = draw(st.sampled_from([1e-6, 0.5, 5.0, 30.0, 60.0])) / (2.0 * rate)
+    gaps = rng.uniform(0.1, 1.0, n - 1)
+    gaps *= horizon / max(gaps.sum(), 1e-300)
+    run = draw(st.integers(0, n - 1))
+    start = draw(st.integers(0, n - 1 - run))
+    gaps[start : start + run] = 1e-9
+    return spec, halfline_grid(np.concatenate([[0.0], np.cumsum(gaps)]))
+
+
+GAMMAS = st.sampled_from([1e-10, 1e-7, 1e-4, 1e-2, 1.0, 1e2])
+
+
+def _bound(K, x):
+    """Rounding scale of K x: |K| |x|, floored to stay positive."""
+    return np.abs(K) @ np.abs(x) + 1e-300
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=qs_problems(), seed=st.integers(0, 2**32 - 1))
+def test_quasiseparable_matvec_and_cross_match_dense(problem, seed):
+    spec, grid = problem
+    op = kernelmat.QuasiseparableGram(spec, grid)
+    K = kernelmat.assemble(spec, grid).values
+    n = grid.n
+    assert np.all(np.abs(op.dense() - K) <= 1e-14 * np.max(np.abs(K)))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    assert np.all(np.abs(op.matvec(x) - K @ x) <= 1e-12 * _bound(K, x))
+    X = rng.normal(size=(3, n))
+    assert np.all(np.abs(op.matvec(X) - X @ K.T) <= 1e-12 * _bound(K, X.T).T)
+    if n > 1:
+        m = int(rng.integers(1, n))
+        want = K[m:, :m] @ x[:m]
+        assert np.all(np.abs(op.cross(m, x[:m]) - want) <= 1e-12 * _bound(K[m:, :m], x[:m]))
+        rows = op.cross(m, X[:, :m])
+        assert rows.shape == (3, n - m)
+        want = X[:, :m] @ K[m:, :m].T
+        assert np.all(np.abs(rows - want) <= 1e-12 * _bound(K[m:, :m], X[:, :m].T).T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=qs_problems(), gamma=GAMMAS, seed=st.integers(0, 2**32 - 1))
+def test_quasiseparable_solve_matches_dense_cholesky(problem, gamma, seed):
+    spec, grid = problem
+    op = kernelmat.QuasiseparableGram(spec, grid)
+    K = kernelmat.assemble(spec, grid).values
+    system = K + gamma * np.eye(grid.n)
+    y = np.random.default_rng(seed).normal(size=grid.n)
+    cond = np.linalg.cond(system)
+    try:
+        c = op.solve(y, gamma)
+    except ConditioningError:
+        # only a genuinely ill-conditioned system may be refused
+        assert cond > 1e6
+        return
+    ref = cho_solve(cho_factor(system), y)
+    # the guard bounds the operator's own residual by 1e-9; K's own rounding adds some
+    assert np.linalg.norm(system @ c - y) <= 1e-8 * np.linalg.norm(y)
+    assert np.max(np.abs(c - ref)) <= 1e-14 * max(cond, 1.0) * np.max(np.abs(ref))
+    # a grid is solved in one pass, one solution per row, each as alone
+    grid_c = op.solve(y, [gamma, 10.0 * gamma])
+    assert grid_c.shape == (2, grid.n)
+    assert np.array_equal(grid_c[0], c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=qs_problems(), gamma=GAMMAS, seed=st.integers(0, 2**32 - 1))
+def test_impulse_fitted_outputs_match_dense(problem, gamma, seed):
+    spec, grid = problem
+    K = kernelmat.assemble(spec, grid).values
+    y = K @ np.random.default_rng(seed).normal(size=grid.n)
+    ds = estimator.Dataset(grid.points, y, estimator.ImpulseInput(), 0.0)
+    try:
+        fit = estimator.estimate(spec, ds, gamma=gamma)
+    except ConditioningError:
+        assert np.linalg.cond(K + gamma * np.eye(grid.n)) > 1e6
+        return
+    c = fit.coefficients
+    assert np.all(np.abs(fit.fitted_outputs() - K @ c) <= 1e-12 * _bound(K, c))
+    assert fit.solve_residual_rel <= 1e-9
