@@ -46,6 +46,7 @@ _EXPORTS = {
     "dc_norm_series": "rkhs",
     # maxent
     "GaussianSample": "maxent",
+    "SampleBatch": "maxent",
     "sample_genspline_process": "maxent",
     "sample_dc_process": "maxent",
     "sample_dc_markov": "maxent",

@@ -22,8 +22,9 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import hashlib
-import io
+import itertools
 import json
 import math
 import os
@@ -35,7 +36,8 @@ from .errors import ConfigError
 
 __all__ = ["main", "default_config", "merged_config", "config_hash"]
 
-_FLOAT_FMT = ".17g"
+# round-trip exact, and the same text as format(x, ".17g")
+_FLOAT_FMT = "%.17g"
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -136,16 +138,13 @@ def _load_config(path: str | None) -> dict:
     return merged_config(user)
 
 
-def _fmt(value) -> str:
-    return format(float(value), _FLOAT_FMT)
-
-
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks) -> None:
+    """Write the text chunks to a temporary name, then rename it into place."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dckernel_tmp_")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -153,14 +152,24 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(command: str, cfg_hash: str, columns, rows) -> str:
-    buf = io.StringIO()
-    buf.write(f"# dckernel {command} config={cfg_hash}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def _write_csv(path: str, command: str, cfg_hash: str, columns, template, blocks) -> None:
+    """Stream a CSV artifact into place, one block of rows per write.
+
+    ``template`` is the text of one block, with the columns that repeat
+    from block to block formatted in once.  ``blocks`` yields ``(fields,
+    numbers)``: each ``{name}`` key of ``fields`` is replaced by its text,
+    then the ``%.17g`` fields take ``numbers`` (an array) in row order.
+    """
+
+    def block_text(fields, numbers):
+        text = template
+        for name, value in fields.items():
+            text = text.replace(name, value)
+        return text % tuple(numbers.ravel().tolist())
+
+    head = f"# dckernel {command} config={cfg_hash}\n{','.join(columns)}\n"
+    body = itertools.starmap(block_text, blocks)
+    _write_atomic(path, itertools.chain((head,), body))
 
 
 def _json_text(payload: dict) -> str:
@@ -208,6 +217,13 @@ def _build_kernel(cfg: dict):
             f"hyperparameters, got {sorted(given) or 'none'}"
         )
     return kernels.KernelSpec(variant, **{k: block[k] for k in params})
+
+
+def _halfline_kernel(cfg: dict, command: str):
+    spec = _build_kernel(cfg)
+    if not spec.stable:
+        raise ConfigError(f"{command} needs a half-line kernel (tc or dc)")
+    return spec
 
 
 def _build_quadrature(cfg: dict):
@@ -309,10 +325,13 @@ def _cmd_estimate(cfg: dict, args) -> int:
     eval_grid = np.linspace(0.0, end, num)
     g_hat = est.reconstruct(fit, eval_grid)
     cfg_hash = config_hash(cfg)
-    csv_rows = [(_fmt(t), _fmt(g)) for t, g in zip(eval_grid, g_hat)]
-    _write_atomic(
+    _write_csv(
         os.path.join(args.out, "estimate.csv"),
-        _csv_text("estimate", cfg_hash, ("time", "g_hat"), csv_rows),
+        "estimate",
+        cfg_hash,
+        ("time", "g_hat"),
+        f"{_FLOAT_FMT},{_FLOAT_FMT}\n" * num,
+        [({}, np.column_stack((eval_grid, g_hat)))],
     )
 
     fitted = fit.fitted_outputs()
@@ -338,7 +357,7 @@ def _cmd_estimate(cfg: dict, args) -> int:
             "best_gamma": search.best_gamma,
         },
     }
-    _write_atomic(os.path.join(args.out, "report.json"), _json_text(report))
+    _write_atomic(os.path.join(args.out, "report.json"), [_json_text(report)])
     if args.verbose:
         print(f"estimate: gamma={fit.gamma:g} fit={fit_percent:.3f}%")
     return 0
@@ -374,24 +393,11 @@ def _cmd_verify(cfg: dict, args) -> int:
         "seed": seed,
         "passed": passed,
         "sections": [
-            {
-                "name": name,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "measured": c.measured,
-                        "threshold": c.threshold,
-                        "comparison": c.comparison,
-                        "passed": c.passed,
-                        "details": c.details,
-                    }
-                    for c in checks
-                ],
-            }
+            {"name": name, "checks": [dataclasses.asdict(c) for c in checks]}
             for name, checks in report
         ],
     }
-    _write_atomic(os.path.join(args.out, "verify_report.json"), _json_text(payload))
+    _write_atomic(os.path.join(args.out, "verify_report.json"), [_json_text(payload)])
     print(f"verify: {'PASS' if passed else 'FAIL'} in {total:.2f}s")
     return 0 if passed else 1
 
@@ -399,30 +405,23 @@ def _cmd_verify(cfg: dict, args) -> int:
 def _cmd_sample(cfg: dict, args) -> int:
     from . import maxent
 
-    spec = _build_kernel(cfg)
-    if not spec.stable:
-        raise ConfigError("sample needs a half-line kernel (tc or dc)")
+    spec = _halfline_kernel(cfg, "sample")
     block = cfg["sampling"]
     seed = _integer(block["seed"], "sampling.seed", 0)
     count = _integer(block["count"], "sampling.count", 0)
     grid = _linspace_grid(block["grid"], "sampling.grid")
-    if block["construction"] == "cumulative":
-        sampler = maxent.sample_dc_process
-    elif block["construction"] == "recursion":
-        sampler = maxent.sample_dc_markov
-    else:
-        raise ConfigError(
-            f"unknown sampling.construction: {block['construction']!r}"
-        )
-    samples = sampler(grid, spec, seed, count)
-    rows = [
-        (str(draw), _fmt(t), _fmt(value))
-        for draw, sample in enumerate(samples)
-        for t, value in zip(grid.points, sample.values)
-    ]
-    _write_atomic(
+    samplers = {"cumulative": maxent.sample_dc_process, "recursion": maxent.sample_dc_markov}
+    if block["construction"] not in samplers:
+        raise ConfigError(f"unknown sampling.construction: {block['construction']!r}")
+    sampler = samplers[block["construction"]]
+    values = maxent.values_matrix(sampler(grid, spec, seed, count))
+    _write_csv(
         os.path.join(args.out, "samples.csv"),
-        _csv_text("sample", config_hash(cfg), ("draw", "time", "value"), rows),
+        "sample",
+        config_hash(cfg),
+        ("draw", "time", "value"),
+        "".join(f"{{draw}},{_FLOAT_FMT % t},{_FLOAT_FMT}\n" for t in grid.points.tolist()),
+        (({"{draw}": str(draw)}, row) for draw, row in enumerate(values)),
     )
     if args.verbose:
         print(f"sample: {count} draws on {grid.n} points")
@@ -445,19 +444,19 @@ def _cmd_expand(cfg: dict, args) -> int:
     partial = mercer.expansion_grid(system, pts, pts)
     exact = kernels.eval_kernel(spec, pts[:, None], pts[None, :])
     error = np.abs(partial - exact)
-    rows = [
-        (str(i), str(j), _fmt(pts[i]), _fmt(pts[j]), _fmt(partial[i, j]),
-         _fmt(exact[i, j]), _fmt(error[i, j]))
-        for i in range(num)
-        for j in range(num)
-    ]
-    _write_atomic(
+    coords = [_FLOAT_FMT % x for x in pts.tolist()]
+    _write_csv(
         os.path.join(args.out, "expansion.csv"),
-        _csv_text(
-            "expand",
-            config_hash(cfg),
-            ("row", "col", "x", "y", "truncated", "exact", "abs_error"),
-            rows,
+        "expand",
+        config_hash(cfg),
+        ("row", "col", "x", "y", "truncated", "exact", "abs_error"),
+        "".join(
+            f"{{row}},{j},{{x}},{y},{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}\n"
+            for j, y in enumerate(coords)
+        ),
+        (
+            ({"{row}": str(i), "{x}": x}, np.column_stack((partial[i], exact[i], error[i])))
+            for i, x in enumerate(coords)
         ),
     )
     if args.verbose:
@@ -470,9 +469,7 @@ def _cmd_norm(cfg: dict, args) -> int:
 
     from . import kernels, mercer, rkhs
 
-    spec = _build_kernel(cfg)
-    if not spec.stable:
-        raise ConfigError("norm needs a half-line kernel (tc or dc)")
+    spec = _halfline_kernel(cfg, "norm")
     gamma = float(cfg["norm"]["gamma"])
     verdict = rkhs.membership_necessary_check(gamma, spec)
     if verdict is rkhs.MembershipVerdict.FAILS_NECESSARY:
@@ -489,22 +486,18 @@ def _cmd_norm(cfg: dict, args) -> int:
     _, beta, rho = kernels.stable_params(spec)
     closed = rkhs.exp_norm_closed_form(gamma, beta, rho)
     truncation = cfg["norm"]["truncation"]
-    if truncation is None:
-        series_text = ""
-    else:
+    series = []  # the series field stays empty without a truncation
+    if truncation is not None:
         truncation = _integer(truncation, "norm.truncation", 1)
         system = mercer.EigenSystem(spec, truncation=truncation)
-        series_value, _ = rkhs.dc_norm_series(handle, system, quad=quad)
-        series_text = _fmt(series_value)
-    rows = [(_fmt(gamma), _fmt(quad_value), series_text, _fmt(closed))]
-    _write_atomic(
+        series = [rkhs.dc_norm_series(handle, system, quad=quad)[0]]
+    _write_csv(
         os.path.join(args.out, "norm.csv"),
-        _csv_text(
-            "norm",
-            config_hash(cfg),
-            ("gamma", "norm_sq_quadrature", "norm_sq_series", "norm_sq_closed_form"),
-            rows,
-        ),
+        "norm",
+        config_hash(cfg),
+        ("gamma", "norm_sq_quadrature", "norm_sq_series", "norm_sq_closed_form"),
+        f"{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT if series else ''},{_FLOAT_FMT}\n",
+        [({}, np.array([gamma, quad_value, *series, closed]))],
     )
     if args.verbose:
         print(f"norm: quadrature {quad_value:.12g}, closed form {closed:.12g}")
@@ -516,40 +509,31 @@ def _cmd_tridiag(cfg: dict, args) -> int:
 
     from . import kernelmat
 
-    spec = _build_kernel(cfg)
-    if not spec.stable:
-        raise ConfigError("tridiag needs a half-line kernel (tc or dc)")
+    spec = _halfline_kernel(cfg, "tridiag")
     grid = _linspace_grid(cfg["tridiag"]["grid"], "tridiag.grid")
     inverse = kernelmat.tridiagonal_inverse(spec, grid)
     gram = kernelmat.assemble(spec, grid).values
     residual = float(np.max(np.abs(gram @ inverse - np.eye(grid.n))))
     cfg_hash = config_hash(cfg)
-    rows = [
-        (str(i), str(j), _fmt(gram[i, j]), _fmt(inverse[i, j]))
-        for i in range(grid.n)
-        for j in range(grid.n)
-    ]
-    _write_atomic(
+    _write_csv(
         os.path.join(args.out, "tridiag.csv"),
-        _csv_text(
-            "tridiag",
-            cfg_hash,
-            ("row", "col", "kernel_value", "inverse_value"),
-            rows,
-        ),
+        "tridiag",
+        cfg_hash,
+        ("row", "col", "kernel_value", "inverse_value"),
+        "".join(f"{{row}},{j},{_FLOAT_FMT},{_FLOAT_FMT}\n" for j in range(grid.n)),
+        (({"{row}": str(i)}, np.column_stack((gram[i], inverse[i]))) for i in range(grid.n)),
     )
     # how far a generic dense inversion strays from the tridiagonal band,
     # as heatmap-free summary numbers
     dense = np.linalg.inv(gram)
     off_rel = kernelmat.max_off_tridiagonal(dense) / float(np.max(np.abs(dense)))
-    _write_atomic(
+    _write_csv(
         os.path.join(args.out, "tridiag_offband.csv"),
-        _csv_text(
-            "tridiag",
-            cfg_hash,
-            ("dense_offband_rel", "identity_residual"),
-            [(_fmt(off_rel), _fmt(residual))],
-        ),
+        "tridiag",
+        cfg_hash,
+        ("dense_offband_rel", "identity_residual"),
+        f"{_FLOAT_FMT},{_FLOAT_FMT}\n",
+        [({}, np.array([off_rel, residual]))],
     )
     if args.verbose:
         print(f"tridiag: identity residual {residual:.3e}")

@@ -69,11 +69,3 @@ def as_halfline_points(grid) -> np.ndarray:
         return grid.points
     return halfline_grid(grid).points
 
-
-def as_unit_points(grid) -> np.ndarray:
-    """Validated point array from a unit-interval TimeGrid or a raw sequence."""
-    if isinstance(grid, TimeGrid):
-        if grid.domain != UNIT01:
-            raise DomainError("expected a unit-interval grid")
-        return grid.points
-    return unit_grid(grid).points

@@ -21,13 +21,17 @@ constraints on exact covariances or Monte-Carlo samples, and the
 competitors (correlated increments) whose log-determinant must come out
 smaller.
 
-Randomness is counter-based (Philox keyed by seed and batch index) and
-normal variates come from the inverse CDF applied to uniforms, so batches
-are reproducible and independent of each other.
+Each sampler returns a `SampleBatch`, its draws as one (count, n) matrix
+that `values_matrix` hands back as is; indexing or iterating a batch makes
+one `GaussianSample` per draw on demand.  Randomness is counter-based
+(Philox keyed by seed and row block) and normal variates come from the
+inverse CDF applied to uniforms, so row blocks are reproducible and
+independent of each other.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +44,7 @@ from .kernelmat import markov_factors
 
 __all__ = [
     "GaussianSample",
+    "SampleBatch",
     "values_matrix",
     "sample_genspline_process",
     "sample_dc_process",
@@ -67,23 +72,45 @@ class GaussianSample:
     seed: int
 
 
+@dataclass(frozen=True, eq=False)
+class SampleBatch(Sequence):
+    """The draws of one sampler call: row k of ``values`` is draw k."""
+
+    grid: TimeGrid
+    values: np.ndarray
+    seed: int
+
+    def __len__(self):
+        return self.values.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return SampleBatch(self.grid, self.values[k], self.seed)
+        return GaussianSample(self.grid, self.values[k], self.seed)
+
+    def __eq__(self, other):
+        # equal to a batch or list of samples holding the same draws
+        if not isinstance(other, (SampleBatch, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a.grid is b.grid and a.seed == b.seed and np.array_equal(a.values, b.values)
+            for a, b in zip(self, other)
+        )
+
+
 def values_matrix(samples) -> np.ndarray:
-    """Stack a sample list (or pass a matrix through) as (count, n)."""
+    """The (count, n) draws of a batch, a sample list or a matrix."""
+    if isinstance(samples, SampleBatch):
+        return samples.values
     if isinstance(samples, np.ndarray):
         return np.atleast_2d(samples)
     return np.array([s.values for s in samples])
 
 
-def _check_seed(seed):
-    if int(seed) != seed or seed < 0:
-        raise DomainError("seed must be a nonnegative integer")
-    return int(seed)
-
-
-def _check_count(count):
-    if int(count) != count or count < 0:
-        raise DomainError("count must be a nonnegative integer")
-    return int(count)
+def _nonnegative_int(value, name):
+    if int(value) != value or value < 0:
+        raise DomainError(f"{name} must be a nonnegative integer")
+    return int(value)
 
 
 def standard_normal_matrix(seed: int, count: int, n: int) -> np.ndarray:
@@ -94,7 +121,7 @@ def standard_normal_matrix(seed: int, count: int, n: int) -> np.ndarray:
     0..b-1.  Uniforms are mapped through the normal inverse CDF; the offset
     keeps them strictly inside (0, 1).
     """
-    seed = _check_seed(seed)
+    seed = _nonnegative_int(seed, "seed")
     out = np.empty((count, n))
     for block, start in enumerate(range(0, count, _BATCH)):
         key = np.array([seed & _MASK64, block], dtype=np.uint64)
@@ -104,10 +131,6 @@ def standard_normal_matrix(seed: int, count: int, n: int) -> np.ndarray:
         u = (raw.astype(np.float64) + 0.5) * 2.0 ** -53
         out[start : start + m] = ndtri(u)
     return out
-
-
-def _wrap(grid, matrix, seed):
-    return [GaussianSample(grid, row, seed) for row in matrix]
 
 
 def sample_genspline_process(grid: TimeGrid, rho: float, seed: int, count: int):
@@ -122,12 +145,12 @@ def sample_genspline_process(grid: TimeGrid, rho: float, seed: int, count: int):
     rho = float(rho)
     if rho <= -0.5:
         raise DomainError("rho must be > -0.5")
-    count = _check_count(count)
+    count = _nonnegative_int(count, "count")
     tau = grid.points
     inc = np.diff(tau, prepend=0.0)
     w = standard_normal_matrix(seed, count, tau.size)
     vals = np.cumsum(w * np.sqrt(inc), axis=1) * tau ** rho
-    return _wrap(grid, vals, seed)
+    return SampleBatch(grid, vals, seed)
 
 
 def sample_dc_process(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
@@ -143,14 +166,14 @@ def sample_dc_process(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
     t = grid.points
     n = t.size
     gaps = stable_gaps(spec, t)
-    count = _check_count(count)
+    count = _nonnegative_int(count, "count")
     w = standard_normal_matrix(seed, count, n)
     # running sums over the reversed index, then read back: value k uses
     # noise 0..n-1-k against gaps n-1 down to k
     acc = np.cumsum(w * np.sqrt(gaps[::-1]), axis=1)
     scale = np.exp(stable_log_weight(spec, t))
     vals = acc[:, ::-1] * scale
-    return _wrap(grid, vals, seed)
+    return SampleBatch(grid, vals, seed)
 
 
 def sample_dc_markov(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
@@ -164,7 +187,7 @@ def sample_dc_markov(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
     """
     if grid.domain != HALFLINE:
         raise DomainError("expected a half-line grid")
-    count = _check_count(count)
+    count = _nonnegative_int(count, "count")
     t = grid.points
     n = t.size
     transition, innovation_std = markov_factors(spec, grid)
@@ -173,7 +196,7 @@ def sample_dc_markov(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
     vals[:, n - 1] = innovation_std[n - 1] * w[:, n - 1]
     for i in range(n - 2, -1, -1):
         vals[:, i] = transition[i] * vals[:, i + 1] + innovation_std[i] * w[:, i]
-    return _wrap(grid, vals, seed)
+    return SampleBatch(grid, vals, seed)
 
 
 def genspline_exact_covariance(grid: TimeGrid, rho: float) -> np.ndarray:

@@ -1,10 +1,13 @@
+import csv
+import io
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from dckernel import cli
+from dckernel import cli, kernelmat, kernels, maxent, mercer, verification
 from dckernel.errors import ConfigError
 
 
@@ -401,3 +404,144 @@ def test_expand_integer_settings(tmp_path, capsys):
             )
             assert cli.main(["expand", "--config", str(cfg), "--out", str(tmp_path)]) == 2
             assert f"expand.{key} must be an integer" in capsys.readouterr().err
+
+
+def oracle_csv(command, cfg_hash, columns, rows):
+    """Artifact bytes as the csv.writer path wrote them.
+
+    Integer cells are written with str, float cells with
+    format(x, ".17g") and None cells as an empty field.
+    """
+    buf = io.StringIO()
+    buf.write(f"# dckernel {command} config={cfg_hash}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(
+            [
+                "" if c is None else str(c) if isinstance(c, int) else format(float(c), ".17g")
+                for c in row
+            ]
+        )
+    return buf.getvalue().encode()
+
+
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+    1e16, 1e17, 0.1, 1.0 / 3.0, -2.5e-310, 123456789.0, -1.0,
+]
+
+
+def test_csv_writer_matches_oracle(tmp_path):
+    # blocks of rows with an integer row index per block, an integer column
+    # index and a coordinate that repeat across blocks, and two number fields
+    coords = np.array(EDGE_FLOATS)
+    values = np.array([EDGE_FLOATS, EDGE_FLOATS[::-1], [-x for x in EDGE_FLOATS]])
+    template = "".join(
+        f"{{row}},{j},{cli._FLOAT_FMT % x},{cli._FLOAT_FMT},{cli._FLOAT_FMT}\n"
+        for j, x in enumerate(coords.tolist())
+    )
+    blocks = (
+        ({"{row}": str(i)}, np.column_stack((row, row[::-1])))
+        for i, row in enumerate(values)
+    )
+    path = tmp_path / "edge.csv"
+    columns = ("row", "col", "x", "a", "b")
+    cli._write_csv(str(path), "edge", "0123456789ab", columns, template, blocks)
+    rows = [
+        (i, j, float(coords[j]), float(values[i, j]), float(values[i, -1 - j]))
+        for i in range(values.shape[0])
+        for j in range(coords.size)
+    ]
+    assert path.read_bytes() == oracle_csv("edge", "0123456789ab", columns, rows)
+
+    # no blocks at all: the two header lines only
+    cli._write_csv(str(path), "edge", "0123456789ab", columns, template, [])
+    assert path.read_bytes() == oracle_csv("edge", "0123456789ab", columns, [])
+
+
+@pytest.mark.parametrize("count,num", [(3, 5), (0, 25), (4, 1)])
+@pytest.mark.parametrize("construction", ["cumulative", "recursion"])
+def test_sample_artifact_matches_oracle(tmp_path, count, num, construction):
+    block = {"count": count, "construction": construction, "grid": {"num": num}}
+    cfg = write_json(tmp_path / "cfg.json", {"sampling": block})
+    assert cli.main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
+    full = cli.merged_config(json.loads(open(cfg).read()))
+    grid = cli._linspace_grid(full["sampling"]["grid"], "sampling.grid")
+    sampler = {"cumulative": maxent.sample_dc_process, "recursion": maxent.sample_dc_markov}
+    draws = maxent.values_matrix(
+        sampler[construction](grid, cli._build_kernel(full), full["sampling"]["seed"], count)
+    )
+    rows = [
+        (d, t, v)
+        for d in range(count)
+        for t, v in zip(grid.points.tolist(), draws[d].tolist())
+    ]
+    expected = oracle_csv("sample", cli.config_hash(full), ("draw", "time", "value"), rows)
+    assert (tmp_path / "samples.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("truncation", [None, 40])
+def test_norm_artifact_matches_oracle(tmp_path, truncation):
+    cfg = write_json(tmp_path / "cfg.json", {"norm": {"truncation": truncation}})
+    assert cli.main(["norm", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "norm.csv").read_text().splitlines()
+    # .17g text round-trips, so the parsed numbers give back the oracle text
+    row = [float(c) if c else None for c in lines[2].split(",")]
+    assert (row[2] is None) == (truncation is None)
+    full = cli.merged_config(json.loads(open(cfg).read()))
+    expected = oracle_csv("norm", cli.config_hash(full), lines[1].split(","), [row])
+    assert (tmp_path / "norm.csv").read_bytes() == expected
+
+
+def test_tridiag_artifact_matches_oracle(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {"tridiag": {"grid": {"num": 7}}})
+    assert cli.main(["tridiag", "--config", cfg, "--out", str(tmp_path)]) == 0
+    full = cli.merged_config(json.loads(open(cfg).read()))
+    spec = cli._build_kernel(full)
+    grid = cli._linspace_grid(full["tridiag"]["grid"], "tridiag.grid")
+    inverse = kernelmat.tridiagonal_inverse(spec, grid)
+    gram = kernelmat.assemble(spec, grid).values
+    rows = [
+        (i, j, float(gram[i, j]), float(inverse[i, j]))
+        for i in range(grid.n)
+        for j in range(grid.n)
+    ]
+    columns = ("row", "col", "kernel_value", "inverse_value")
+    expected = oracle_csv("tridiag", cli.config_hash(full), columns, rows)
+    assert (tmp_path / "tridiag.csv").read_bytes() == expected
+
+
+def test_expand_artifact_matches_oracle(tmp_path):
+    config = {"kernel": {"variant": "genspline1", "rho": 0.3}}
+    config["expand"] = {"truncation": 30, "grid_points": 6}
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert cli.main(["expand", "--config", cfg, "--out", str(tmp_path)]) == 0
+    full = cli.merged_config(config)
+    spec = cli._build_kernel(full)
+    pts = np.arange(1, 7) / 6.0
+    partial = mercer.expansion_grid(mercer.EigenSystem(spec, truncation=30), pts, pts)
+    exact = kernels.eval_kernel(spec, pts[:, None], pts[None, :])
+    rows = [
+        (i, j, pts[i], pts[j], partial[i, j], exact[i, j], abs(partial[i, j] - exact[i, j]))
+        for i in range(6)
+        for j in range(6)
+    ]
+    columns = ("row", "col", "x", "y", "truncated", "exact", "abs_error")
+    expected = oracle_csv("expand", cli.config_hash(full), columns, rows)
+    assert (tmp_path / "expansion.csv").read_bytes() == expected
+
+
+def test_hot_paths_build_no_per_draw_samples(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-draw GaussianSample was built")
+
+    monkeypatch.setattr(maxent, "GaussianSample", refuse)
+    for construction in ("cumulative", "recursion"):
+        cfg = write_json(
+            tmp_path / f"{construction}.json",
+            {"sampling": {"count": 20, "construction": construction}},
+        )
+        assert cli.main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
+    checks = verification.maxent_checks(mc_count=200)
+    assert all(c.passed for c in checks)
