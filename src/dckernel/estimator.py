@@ -40,7 +40,9 @@ and A is the kernel's Gram matrix K, which `kernelmat.QuasiseparableGram`
 holds as O(r n) generators, so the fit, the holdout search and the fitted
 outputs cost O(r^2 n) time and memory and K is never formed.  Convolved
 inputs keep their dense A in a `DenseOperator`, which offers the same
-operations (solve, matvec, cross, leading) by dense Cholesky.
+operations (solve, matvec, cross, leading); it solves by
+`np.linalg.cholesky` and two recursive `_triangular_solve` sweeps, so the
+fit path needs numpy alone.
 `output_kernel_quadrature` computes the convolved A and representers by
 composite Gauss-Legendre quadrature with breakpoints at every kink; it
 serves only as an independent oracle for checks and tests.
@@ -52,7 +54,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DomainError
 from .grids import HALFLINE, TimeGrid
@@ -567,20 +568,49 @@ def output_kernel_quadrature(
     return A, evaluator.matrix
 
 
+_TRIANGULAR_BASE = 48
+
+
+def _triangular_solve(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """T x = b for a triangular T by recursive halving.
+
+    Each level solves the leading half (the trailing one when T is upper),
+    takes its share off the other half's right side with one matrix-vector
+    product and solves that half.  Blocks of at most `_TRIANGULAR_BASE`
+    rows go to `np.linalg.solve`, which below that size costs less than
+    the call overhead of splitting further.
+    """
+    n = b.shape[0]
+    if n <= _TRIANGULAR_BASE:
+        return np.linalg.solve(T, b)
+    h = n // 2
+    first, second = (slice(0, h), slice(h, n)) if lower else (slice(h, n), slice(0, h))
+    x = np.empty_like(b)
+    x[first] = _triangular_solve(T[first, first], b[first], lower)
+    x[second] = _triangular_solve(T[second, second], b[second] - T[second, first] @ x[first], lower)
+    return x
+
+
 def solve_coefficients(A: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     """Solve (A + gamma I) c = y by dense Cholesky with a residual guard.
 
-    Raises ConditioningError when the factorization fails or when
+    `np.linalg.cholesky` factors A + gamma I = L L' and two
+    `_triangular_solve` calls apply L^{-1} and then L'^{-1}.  Raises
+    ConditioningError when the factorization fails or when
     |A c + gamma c - y| exceeds `kernelmat.RESIDUAL_TOL` |y|.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     n = A.shape[0]
+    M = A.copy()
+    M.flat[:: n + 1] += gamma
     try:
-        factor = cho_factor(A + gamma * np.eye(n))
-    except LinAlgError as exc:
+        # the transpose is the same symmetric matrix in column-major order,
+        # which the factorization copies contiguously
+        L = np.linalg.cholesky(M.T)
+    except np.linalg.LinAlgError as exc:
         raise _not_positive_definite(gamma) from exc
-    c = cho_solve(factor, y)
+    c = _triangular_solve(L.T, _triangular_solve(L, y, lower=True), lower=False)
     _checked_residual(A @ c + gamma * c - y, y, gamma)
     return c
 

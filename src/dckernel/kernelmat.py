@@ -14,7 +14,8 @@ O(r n) generators, r the number of exponential terms on each triangle
 (`kernels.triangle_terms`: 1 for tc and dc, 2 for ss).  It solves with
 K + gamma I in O(r^2 n) time and memory, predicts held-out samples in
 O(r n) and multiplies by K in log2(n) vectorized passes, without forming
-K.
+K.  `psd_check` reads the spectrum with `np.linalg.eigvalsh`; nothing here
+needs more than numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from .errors import ConditioningError, DomainError
 from .grids import HALFLINE, TimeGrid
@@ -351,7 +351,7 @@ def psd_check(matrix: np.ndarray, *, rel_tol: float = 1e-10) -> PsdReport:
         raise DomainError("expected a square matrix")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(a))))):
         raise DomainError("expected a symmetric matrix")
-    w = eigvalsh(a)
+    w = np.linalg.eigvalsh(a)
     lo = float(w[0])
     hi = float(w[-1])
     return PsdReport(lo, hi, lo >= -rel_tol * max(hi, 0.0))

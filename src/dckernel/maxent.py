@@ -16,10 +16,9 @@ propagating second moments through the recursion.
 
 The constructions maximise differential entropy subject to zero means and
 fixed increment variances.  `verify_maxent_constraints` checks those
-constraints on exact covariances or Monte-Carlo samples, and the
-``*_negative_control_covariance`` builders produce constraint-satisfying
-competitors (correlated increments) whose log-determinant must come out
-smaller.
+constraints on exact covariances or Monte-Carlo samples, and
+`dc_negative_control_covariance` builds a constraint-satisfying competitor
+(correlated increments) whose log-determinant must come out smaller.
 
 Each sampler returns a `SampleBatch`, its draws as one (count, n) matrix
 that `values_matrix` hands back as is; indexing or iterating a batch makes
@@ -49,10 +48,8 @@ __all__ = [
     "sample_genspline_process",
     "sample_dc_process",
     "sample_dc_markov",
-    "genspline_exact_covariance",
     "dc_process_exact_covariance",
     "dc_markov_exact_covariance",
-    "genspline_negative_control_covariance",
     "dc_negative_control_covariance",
     "gaussian_log_det",
     "verify_maxent_constraints",
@@ -199,24 +196,6 @@ def sample_dc_markov(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
     return SampleBatch(grid, vals, seed)
 
 
-def genspline_exact_covariance(grid: TimeGrid, rho: float) -> np.ndarray:
-    """Covariance of the unit-interval construction by literal accumulation.
-
-    Sums the shared increments rather than collapsing them analytically, so
-    agreement with the kernel is a genuine telescoping check.
-    """
-    if grid.domain != UNIT01:
-        raise DomainError("expected a unit-interval grid")
-    rho = float(rho)
-    if rho <= -0.5:
-        raise DomainError("rho must be > -0.5")
-    tau = grid.points
-    running = np.cumsum(np.diff(tau, prepend=0.0))
-    weight = tau ** rho
-    shared = np.minimum(running[:, None], running[None, :])
-    return weight[:, None] * weight[None, :] * shared
-
-
 def dc_process_exact_covariance(grid: TimeGrid, spec: KernelSpec) -> np.ndarray:
     """Covariance of the anticausal construction by literal accumulation."""
     if grid.domain != HALFLINE:
@@ -255,28 +234,6 @@ def _equicorrelated(variances, correlation):
     cov = c * np.outer(std, std)
     np.fill_diagonal(cov, v)
     return cov
-
-
-def genspline_negative_control_covariance(
-    grid: TimeGrid, rho: float, correlation: float
-) -> np.ndarray:
-    """Constraint-satisfying competitor with equicorrelated increments.
-
-    Keeps every increment variance (and the zero means) of the reference
-    construction but correlates the increments pairwise, which can only
-    lower the Gaussian entropy.
-    """
-    if grid.domain != UNIT01:
-        raise DomainError("expected a unit-interval grid")
-    rho = float(rho)
-    if rho <= -0.5:
-        raise DomainError("rho must be > -0.5")
-    tau = grid.points
-    n = tau.size
-    inc_cov = _equicorrelated(np.diff(tau, prepend=0.0), correlation)
-    acc = np.tril(np.ones((n, n)))  # value k sums increments 1..k
-    weight = tau ** rho
-    return weight[:, None] * weight[None, :] * (acc @ inc_cov @ acc.T)
 
 
 def dc_negative_control_covariance(

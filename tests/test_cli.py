@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -545,3 +547,51 @@ def test_hot_paths_build_no_per_draw_samples(tmp_path, monkeypatch):
         assert cli.main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
     checks = verification.maxent_checks(mc_count=200)
     assert all(c.passed for c in checks)
+
+
+_LIST_SCIPY_AFTER_MAIN = """
+import json, sys
+from dckernel import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_fit_and_artifact_commands_never_load_scipy(tmp_path):
+    # a subprocess, because this test process has scipy loaded already
+    times = np.linspace(0.25, 3.0, 12)
+    rows = [f"{float(t)!r},{float(np.exp(-t))!r},{float(t < 1.5)!r}" for t in times]
+    zoh = tmp_path / "zoh.csv"
+    zoh.write_text("time,y,u\n" + "\n".join(rows) + "\n")
+    plain = impulse_fixture(tmp_path / "plain.csv")
+    configs = {
+        "zoh": {"estimation": {"gamma": 0.1}},
+        "zoh_grid": {"estimation": {"gamma_grid": [1e-1, 1e-3]}},
+        "step": {"estimation": {"gamma": 1e-3, "input": {"kind": "step"}}},
+        "impulse": {"estimation": {"gamma": 1e-6, "input": {"kind": "impulse"}}},
+        "expand": {"kernel": {"variant": "spline1"}, "expand": {"grid_points": 5}},
+    }
+    cfg = {name: write_json(tmp_path / f"{name}.json", body) for name, body in configs.items()}
+    runs = [
+        ["estimate", "--config", cfg["zoh"], "--data", str(zoh)],
+        ["estimate", "--config", cfg["zoh_grid"], "--data", str(zoh)],
+        ["estimate", "--config", cfg["step"], "--data", plain],
+        ["estimate", "--config", cfg["impulse"], "--data", plain],
+        ["tridiag"],
+        ["norm"],
+        ["expand", "--config", cfg["expand"]],
+    ]
+    runs = [argv + ["--out", str(tmp_path / f"run{i}")] for i, argv in enumerate(runs)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _LIST_SCIPY_AFTER_MAIN, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * len(runs)
+    assert result["scipy"] == []
+    for i in (0, 1, 2):
+        report = json.loads((tmp_path / f"run{i}" / "report.json").read_text())
+        assert report["solver"] == "dense"

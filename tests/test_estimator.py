@@ -153,6 +153,56 @@ def test_solve_coefficients():
     assert c == pytest.approx([2.0 / 3.0, 3.0 / 4.0], rel=1e-14)
     with pytest.raises(ConditioningError):
         estimator.solve_coefficients(np.ones((3, 3)), np.ones(3), 0.0)
+    indefinite = r"^regularized system is not positive definite at gamma=1e-12$"
+    with pytest.raises(ConditioningError, match=indefinite):
+        estimator.solve_coefficients(np.diag([1.0, -1.0]), np.ones(2), 1e-12)
+
+
+# sizes on both sides of the triangular solve's base block and of its halvings
+DENSE_SIZES = (1, 2, 31, 32, 33, 47, 48, 49, 64, 65, 97, 200, 1000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from(DENSE_SIZES),
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.floats(0.5, 2.0),
+)
+def test_dense_solve_matches_scipy_cholesky(n, seed, gamma):
+    # B B' / n has its eigenvalues near [0, 4], so A + gamma I is well conditioned
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n))
+    A = B @ B.T / n
+    y = rng.standard_normal(n)
+    c = estimator.solve_coefficients(A, y, gamma)
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A + gamma * np.eye(n)), y)
+    assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("n", [1, 48, 49, 97, 300])
+def test_triangular_solve_matches_scipy(n, lower):
+    rng = np.random.default_rng(n)
+    T = np.tril(rng.uniform(-1.0, 1.0, (n, n)) / n, -1) + np.diag(rng.uniform(1.0, 2.0, n))
+    if not lower:
+        T = T.T.copy()
+    b = rng.standard_normal(n)
+    x = estimator._triangular_solve(T, b, lower)
+    ref = scipy.linalg.solve_triangular(T, b, lower=lower)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("spec", [kernels.tc(0.5), kernels.dc(0.3, 0.7), kernels.ss(0.6)])
+def test_dense_solve_of_a_zoh_fit_matches_scipy_cholesky(spec):
+    times = np.linspace(0.05, 6.0, 60)
+    hold = estimator.ZohInput(times, np.cos(1.7 * times) + 0.3)
+    ds = estimator.Dataset(times, np.exp(-0.5 * times) * np.sin(times), hold, 1e-4)
+    A = estimator.output_kernel(spec, ds)[0].dense()
+    for gamma in (1e-6, 1e-4, 1e-2):
+        M = A + gamma * np.eye(times.size)
+        c = estimator.solve_coefficients(A, ds.outputs, gamma)
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), ds.outputs)
+        assert _rel(c, ref) <= 10.0 * np.linalg.cond(M) * np.finfo(float).eps
 
 
 def test_noise_free_recovery_from_step_data():
@@ -439,8 +489,8 @@ def test_impulse_fit_never_forms_the_gram_matrix(monkeypatch):
         raise AssertionError("impulse fit reached dense assembly or dense Cholesky")
 
     monkeypatch.setattr(kernelmat, "assemble", forbidden)
-    monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
-    monkeypatch.setattr(estimator, "cho_factor", forbidden)
+    monkeypatch.setattr(estimator.np.linalg, "cholesky", forbidden)
+    monkeypatch.setattr(estimator, "_triangular_solve", forbidden)
     times = np.linspace(0.0, 6.0, 40)
     ds = estimator.Dataset(times, np.exp(-times), estimator.ImpulseInput(), 1e-4)
     for spec in (kernels.tc(0.5), kernels.dc(0.3, 0.7), kernels.ss(0.6)):

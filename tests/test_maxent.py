@@ -3,11 +3,49 @@ import pytest
 
 from dckernel import kernels, maxent
 from dckernel.errors import DomainError
-from dckernel.grids import halfline_grid, unit_grid
+from dckernel.grids import UNIT01, halfline_grid, unit_grid
 from dckernel.kernelmat import assemble
 
 SPEC = kernels.dc(0.2, 0.3)
 GRID = halfline_grid([0.15, 0.4, 0.9, 1.3, 2.2, 3.0])
+
+
+def genspline_exact_covariance(grid, rho):
+    """Covariance of the unit-interval construction by literal accumulation.
+
+    Sums the shared increments rather than collapsing them analytically, so
+    agreement with the kernel is a genuine telescoping check.
+    """
+    if grid.domain != UNIT01:
+        raise DomainError("expected a unit-interval grid")
+    rho = float(rho)
+    if rho <= -0.5:
+        raise DomainError("rho must be > -0.5")
+    tau = grid.points
+    running = np.cumsum(np.diff(tau, prepend=0.0))
+    weight = tau ** rho
+    shared = np.minimum(running[:, None], running[None, :])
+    return weight[:, None] * weight[None, :] * shared
+
+
+def genspline_negative_control_covariance(grid, rho, correlation):
+    """Constraint-satisfying competitor with equicorrelated increments.
+
+    Keeps every increment variance (and the zero means) of the reference
+    construction but correlates the increments pairwise, which can only
+    lower the Gaussian entropy.
+    """
+    if grid.domain != UNIT01:
+        raise DomainError("expected a unit-interval grid")
+    rho = float(rho)
+    if rho <= -0.5:
+        raise DomainError("rho must be > -0.5")
+    tau = grid.points
+    n = tau.size
+    inc_cov = maxent._equicorrelated(np.diff(tau, prepend=0.0), correlation)
+    acc = np.tril(np.ones((n, n)))  # value k sums increments 1..k
+    weight = tau ** rho
+    return weight[:, None] * weight[None, :] * (acc @ inc_cov @ acc.T)
 
 
 def reversed_image_grid(grid, beta):
@@ -31,7 +69,7 @@ def test_markov_covariance_is_the_gram_matrix():
 def test_genspline_covariance_matches_unit_kernel():
     grid = unit_grid([0.1, 0.25, 0.5, 0.8, 1.0])
     rho = -0.2
-    cov = maxent.genspline_exact_covariance(grid, rho)
+    cov = genspline_exact_covariance(grid, rho)
     gram = assemble(kernels.genspline1(rho), grid).values
     assert np.max(np.abs(cov - gram)) <= 1e-14
 
@@ -80,7 +118,7 @@ def test_domain_mismatches_are_rejected():
     with pytest.raises(DomainError):
         maxent.sample_dc_process(unit, SPEC, seed=0, count=1)
     with pytest.raises(DomainError):
-        maxent.genspline_exact_covariance(GRID, 0.5)
+        genspline_exact_covariance(GRID, 0.5)
     with pytest.raises(DomainError):
         maxent.verify_maxent_constraints(unit, SPEC, covariance=np.eye(2))
     with pytest.raises(DomainError):
@@ -148,11 +186,11 @@ def test_negative_control_keeps_constraints_loses_entropy():
 def test_genspline_negative_control_loses_entropy():
     grid = unit_grid([0.1, 0.3, 0.55, 0.8, 1.0])
     rho = 0.4
-    reference = maxent.genspline_exact_covariance(grid, rho)
-    control = maxent.genspline_negative_control_covariance(grid, rho, 0.3)
+    reference = genspline_exact_covariance(grid, rho)
+    control = genspline_negative_control_covariance(grid, rho, 0.3)
     assert maxent.gaussian_log_det(control) < maxent.gaussian_log_det(reference)
     with pytest.raises(DomainError):
-        maxent.genspline_negative_control_covariance(grid, rho, 1.0)
+        genspline_negative_control_covariance(grid, rho, 1.0)
     with pytest.raises(DomainError):
         maxent.dc_negative_control_covariance(GRID, SPEC, -0.1)
 
