@@ -42,12 +42,10 @@ _EXPORTS = {
     "membership_necessary_check": "rkhs",
     "dc_norm_integral": "rkhs",
     "tc_norm_integral": "rkhs",
-    "genspline_norm_integral": "rkhs",
     "dc_norm_series": "rkhs",
     # maxent
     "GaussianSample": "maxent",
     "SampleBatch": "maxent",
-    "sample_genspline_process": "maxent",
     "sample_dc_process": "maxent",
     "sample_dc_markov": "maxent",
     "verify_maxent_constraints": "maxent",
@@ -58,7 +56,6 @@ _EXPORTS = {
     "markov_factors": "kernelmat",
     "tridiagonal_inverse": "kernelmat",
     "QuasiseparableGram": "kernelmat",
-    "psd_check": "kernelmat",
     # estimator
     "ImpulseInput": "estimator",
     "StepInput": "estimator",

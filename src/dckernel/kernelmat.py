@@ -14,8 +14,7 @@ O(r n) generators, r the number of exponential terms on each triangle
 (`kernels.triangle_terms`: 1 for tc and dc, 2 for ss).  It solves with
 K + gamma I in O(r^2 n) time and memory, predicts held-out samples in
 O(r n) and multiplies by K in log2(n) vectorized passes, without forming
-K.  `psd_check` reads the spectrum with `np.linalg.eigvalsh`; nothing here
-needs more than numpy.
+K.  Nothing here needs more than numpy.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ __all__ = [
     "markov_factors",
     "tridiagonal_inverse",
     "QuasiseparableGram",
-    "PsdReport",
-    "psd_check",
     "max_off_tridiagonal",
 ]
 
@@ -329,29 +326,3 @@ def max_off_tridiagonal(matrix: np.ndarray) -> float:
         return 0.0
     mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
     return float(np.max(np.abs(a[mask])))
-
-
-@dataclass(frozen=True)
-class PsdReport:
-    """Eigenvalue extremes of a symmetric matrix and the verdict."""
-
-    lambda_min: float
-    lambda_max: float
-    passed: bool
-
-
-def psd_check(matrix: np.ndarray, *, rel_tol: float = 1e-10) -> PsdReport:
-    """Positive-semidefiniteness up to symmetric-eigensolver rounding.
-
-    Passes when lambda_min >= -rel_tol * max(lambda_max, 0), which admits
-    the tiny negative eigenvalues a PSD matrix acquires in floating point.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("expected a square matrix")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(a))))):
-        raise DomainError("expected a symmetric matrix")
-    w = np.linalg.eigvalsh(a)
-    lo = float(w[0])
-    hi = float(w[-1])
-    return PsdReport(lo, hi, lo >= -rel_tol * max(hi, 0.0))

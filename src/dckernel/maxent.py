@@ -1,13 +1,11 @@
 """Maximum-entropy Gaussian constructions behind the spline kernel family.
 
-Two discrete constructions realise the kernels as covariances:
-
-* `sample_genspline_process` -- a weighted cumulative sum of independent
-  increments on a unit-interval grid (anchored at 0);
-* `sample_dc_process` -- the half-line counterpart, accumulating from the
-  far end of the grid toward the origin (anchored at infinity), which is
-  the same object after the exponential change of coordinates; with
-  matched seeds both return identical numbers up to index reversal.
+`sample_dc_process` realises the dc kernel as the covariance of a
+weighted cumulative sum of independent increments, accumulating from the
+far end of the grid toward the origin (anchored at infinity).  After the
+exponential change of coordinates it is the power-weighted cumulative sum
+on the unit interval, anchored at 0, behind the generalized first-order
+spline kernel.
 
 `sample_dc_markov` draws the identical law through the order-1 recursion
 that runs from the last grid instant backward; its covariance is exactly
@@ -25,19 +23,21 @@ that `values_matrix` hands back as is; indexing or iterating a batch makes
 one `GaussianSample` per draw on demand.  Randomness is counter-based
 (Philox keyed by seed and row block) and normal variates come from the
 inverse CDF applied to uniforms, so row blocks are reproducible and
-independent of each other.
+independent of each other.  The inverse CDF is `_ndtri`, a numpy port of
+cephes ``ndtri`` (Moshier, *Methods and Programs for Mathematical
+Functions*, 1989) that gives the C routine's bits with numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError
-from .grids import HALFLINE, UNIT01, TimeGrid
+from .grids import HALFLINE, TimeGrid
 from .kernels import KernelSpec, stable_gaps, stable_log_weight
 from .kernelmat import markov_factors
 
@@ -45,7 +45,6 @@ __all__ = [
     "GaussianSample",
     "SampleBatch",
     "values_matrix",
-    "sample_genspline_process",
     "sample_dc_process",
     "sample_dc_markov",
     "dc_process_exact_covariance",
@@ -58,6 +57,30 @@ __all__ = [
 
 _BATCH = 4096
 _MASK64 = (1 << 64) - 1
+
+# cephes ndtri coefficients, highest power first; each Q carries the 1 that
+# p1evl implies.  P0/Q0: the centre, in (y - 1/2)^2; P1/Q1 and P2/Q2: the
+# tails, in z = 1/x with x = sqrt(-2 log y) below and above 8.
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189
+_CHUNK = 8192  # values per pass, so a pass's temporaries stay in cache
+_X87_LOG = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
 
 
 @dataclass(frozen=True)
@@ -126,28 +149,69 @@ def standard_normal_matrix(seed: int, count: int, n: int) -> np.ndarray:
         m = min(_BATCH, count - start)
         raw = gen.integers(0, 1 << 53, size=(m, n), dtype=np.uint64)
         u = (raw.astype(np.float64) + 0.5) * 2.0 ** -53
-        out[start : start + m] = ndtri(u)
+        out[start : start + m] = _ndtri(u).reshape(m, n)
     return out
 
 
-def sample_genspline_process(grid: TimeGrid, rho: float, seed: int, count: int):
-    """Trajectories of the power-weighted cumulative-increment process.
+def _horner(x, coef):
+    """cephes polevl: Horner's rule from the leading coefficient."""
+    acc = x * coef[0]
+    for c in coef[1:-1]:
+        acc += c
+        acc *= x
+    return acc + coef[-1]
 
-    Value at the k-th grid point: tau_k^rho times the running sum of
-    w(i-1) * sqrt(tau_i - tau_{i-1}) up to i = k, with tau_0 = 0 anchored.
-    Covariance is the power-weighted first-order spline kernel.
+
+def _libm_log(x):
+    """log of positive doubles, rounded as glibc's ``log`` (within 0.519 ulp).
+
+    The x87 extended log rounded to double agrees except within 0.019 ulp of
+    a rounding midpoint; values within 48/2048 ulp of one, by the 11 extra
+    bits, or all values without an x87 long double, take `math.log`.
     """
-    if grid.domain != UNIT01:
-        raise DomainError("expected a unit-interval grid")
-    rho = float(rho)
-    if rho <= -0.5:
-        raise DomainError("rho must be > -0.5")
-    count = _nonnegative_int(count, "count")
-    tau = grid.points
-    inc = np.diff(tau, prepend=0.0)
-    w = standard_normal_matrix(seed, count, tau.size)
-    vals = np.cumsum(w * np.sqrt(inc), axis=1) * tau ** rho
-    return SampleBatch(grid, vals, seed)
+    if not _X87_LOG:
+        return np.fromiter(map(math.log, x.tolist()), float, x.size)
+    ext = np.log(x.astype(np.longdouble))
+    out = ext.astype(float)
+    low = (ext.view(np.uint64)[::2] - np.uint64(977)) & np.uint64(0x7FF)
+    near = np.flatnonzero(low < 95)  # |low 11 mantissa bits - 1024| < 48
+    out[near] = list(map(math.log, x[near].tolist()))
+    return out
+
+
+def _ndtri(u):
+    """Inverse standard normal CDF of an array in [0, 1], flattened.
+
+    Bit for bit cephes ``ndtri``: its coefficients and Horner order, fold at
+    1 - exp(-2), branch at exp(-2), switch at x = 8 and libm-rounded logs.
+    """
+    u = np.ravel(u)
+    out = np.empty_like(u)
+    for s in range(0, u.size, _CHUNK):  # the central branch, on every value
+        y = u[s : s + _CHUNK] - 0.5
+        y2 = y * y
+        x = _horner(y2, _P0)
+        x *= y2
+        x /= _horner(y2, _Q0)
+        x *= y
+        x += y
+        out[s : s + _CHUNK] = x * 2.50662827463100050242  # sqrt(2 pi)
+    tail = np.flatnonzero((u <= _EXP_M2) | (u > 1.0 - _EXP_M2))
+    for s in range(0, tail.size, _CHUNK):  # the tails overwrite it
+        at = tail[s : s + _CHUNK]
+        upper = u[at] > 0.5
+        y = np.where(upper, 1.0 - u[at], u[at])
+        edge = y == 0.0  # u = 0 or 1, the infinite quantiles
+        y[edge] = _EXP_M2
+        x = np.sqrt(-2.0 * _libm_log(y))
+        z = 1.0 / x
+        x1 = z * _horner(z, _P1) / _horner(z, _Q1)
+        far = np.flatnonzero(x >= 8.0)  # y <= exp(-32)
+        x1[far] = z[far] * _horner(z[far], _P2) / _horner(z[far], _Q2)
+        x = x - _libm_log(x) / x - x1
+        x[edge] = np.inf
+        out[at] = np.where(upper, x, -x)
+    return out
 
 
 def sample_dc_process(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
@@ -155,7 +219,7 @@ def sample_dc_process(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
 
     The scaled value at grid point k sums w(n-1-i) * sqrt of the exponential
     gap over i = k..n-1; noise index 0 belongs to the far end, so a matched
-    seed reproduces `sample_genspline_process` on the reversed image grid.
+    seed reproduces the unit-interval sum on the reversed image grid.
     Covariance is the dc kernel.
     """
     if grid.domain != HALFLINE:

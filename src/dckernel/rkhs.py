@@ -1,23 +1,21 @@
 """Native-space norms of candidate impulse responses.
 
 The ``dc`` and ``tc`` families induce reproducing-kernel Hilbert spaces of
-exponentially decaying functions.  Three independent routes to the squared
+exponentially decaying functions.  Two independent routes to the squared
 norm are provided:
 
 * `dc_norm_integral` / `tc_norm_integral` -- the first-order differential
   form, integrated after the substitution tau = exp(-2 beta t) so the
   semi-infinite range never needs truncating;
 * `dc_norm_series` -- partial sums of squared eigen-coefficients divided by
-  eigenvalues;
-* `genspline_norm_integral` -- the unit-interval form for functions of the
-  transformed coordinate, which the half-line routes must agree with.
+  eigenvalues.
 
 `exp_norm_closed_form` is the exact squared norm of exp(-gamma t), the
 reference the numerical routes are checked against.
 
 `membership_necessary_check` screens exponential decay rates: a function
 behaving like exp(-gamma t) can only have finite norm when gamma exceeds
-the kernel's diagonal decay rate.
+the kernel's diagonal decay rate alpha.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import KernelSpec, stable_coordinate, stable_params
-from .mercer import EigenSystem, _power_sine, eigenvalue
+from .mercer import EigenSystem, eigenvalue
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -46,7 +44,6 @@ __all__ = [
     "dc_norm_integral",
     "tc_norm_integral",
     "dc_norm_series",
-    "genspline_norm_integral",
     "exp_norm_closed_form",
 ]
 
@@ -141,13 +138,8 @@ def membership_necessary_check(gamma, spec: KernelSpec) -> MembershipVerdict:
     g = float(gamma)
     if not np.isfinite(g) or g <= 0.0:
         raise DomainError("decay rate must be finite and > 0")
-    alpha, beta, rho = stable_params(spec)
-    threshold = (2.0 * rho + 1.0) * beta
-    if abs(threshold - alpha) > 1e-15 * max(1.0, abs(alpha)):
-        raise RuntimeError(
-            f"internal inconsistency: (2 rho + 1) beta = {threshold!r} != alpha = {alpha!r}"
-        )
-    if g > threshold:
+    alpha, _, _ = stable_params(spec)  # the diagonal decay, (2 rho + 1) beta
+    if g > alpha:
         return MembershipVerdict.PASSES_NECESSARY
     return MembershipVerdict.FAILS_NECESSARY
 
@@ -206,29 +198,6 @@ def exp_norm_closed_form(gamma: float, beta: float, rho: float) -> float:
     )
 
 
-def genspline_norm_integral(
-    handle: FunctionHandle, rho: float, quad: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
-    """Squared norm of a unit-interval function in the power-weighted space.
-
-    ``handle`` lives on [0, 1] (with f(0) = 0); the integrand is the squared
-    derivative of f(tau) / tau^rho.  Equals the half-line dc norm of
-    f(exp(-2 beta t)) for every beta, which tests exploit.
-    """
-    rho = float(rho)
-    if rho <= -0.5:
-        raise DomainError("rho must be > -0.5")
-    _check_derivative(handle, 0.05, 0.95)
-
-    def integrand(tau):
-        num = handle.derivative(tau) * tau - rho * handle.evaluate(tau)
-        scaled = tau ** (-(rho + 1.0)) * num
-        return scaled * scaled
-
-    splits = tuple(float(c) for c in handle.corners)
-    return integrate_refining(integrand, quad, splits=splits)
-
-
 def dc_norm_series(
     handle: FunctionHandle,
     system: EigenSystem,
@@ -258,20 +227,19 @@ def dc_norm_series(
             )
     _check_derivative(handle, 0.05, 4.0 / beta)
 
-    graded = rho != 0.0
     splits = _corner_splits(handle.corners, system.kernel)
     pts, wts = composite_rule(
-        unit_breakpoints(quad, graded=graded, splits=splits), quad.nodes
+        unit_breakpoints(quad, graded=rho != 0.0, splits=splits), quad.nodes
     )
-    t = np.log(pts) / (-2.0 * beta)
-    g = handle.evaluate(t)
-    if rho == 0.0:
-        base = wts * g
-    else:
-        base = wts * g * pts ** (-rho)
-    idx = np.arange(1, m + 1)
-    sines = _power_sine(0.0, idx[:, None], pts[None, :])
-    coeffs = sines @ base
-    lam = eigenvalue(idx)
+    g = handle.evaluate(np.log(pts) / (-2.0 * beta))
+    base = np.sqrt(2.0) * wts * g * pts ** (-rho)
+    # sqrt(2) sin((i - 1/2) pi tau) by angle addition from block starts i0 =
+    # 1, 33, ... and offsets k < 32: m/32 + 32 angles per node, not m
+    theta = np.pi * pts
+    start = (np.arange(1, m + 1, 32)[:, None] - 0.5) * theta
+    step = np.arange(min(m, 32))[:, None] * theta
+    coeffs = np.sin(start) @ (np.cos(step) * base).T + np.cos(start) @ (np.sin(step) * base).T
+    coeffs = coeffs.ravel()[:m]
+    lam = eigenvalue(np.arange(1, m + 1))
     norm_sq = float(np.sum(coeffs * coeffs / lam))
     return norm_sq, coeffs

@@ -571,6 +571,8 @@ def test_fit_and_artifact_commands_never_load_scipy(tmp_path):
         "step": {"estimation": {"gamma": 1e-3, "input": {"kind": "step"}}},
         "impulse": {"estimation": {"gamma": 1e-6, "input": {"kind": "impulse"}}},
         "expand": {"kernel": {"variant": "spline1"}, "expand": {"grid_points": 5}},
+        "cumulative": {"sampling": {"count": 20, "construction": "cumulative"}},
+        "recursion": {"sampling": {"count": 20, "construction": "recursion"}},
     }
     cfg = {name: write_json(tmp_path / f"{name}.json", body) for name, body in configs.items()}
     runs = [
@@ -581,6 +583,9 @@ def test_fit_and_artifact_commands_never_load_scipy(tmp_path):
         ["tridiag"],
         ["norm"],
         ["expand", "--config", cfg["expand"]],
+        ["sample", "--config", cfg["cumulative"]],
+        ["sample", "--config", cfg["recursion"]],
+        ["verify"],
     ]
     runs = [argv + ["--out", str(tmp_path / f"run{i}")] for i, argv in enumerate(runs)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

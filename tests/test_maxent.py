@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from dckernel import kernels, maxent
 from dckernel.errors import DomainError
@@ -48,6 +53,23 @@ def genspline_negative_control_covariance(grid, rho, correlation):
     return weight[:, None] * weight[None, :] * (acc @ inc_cov @ acc.T)
 
 
+def sample_genspline_process(grid, rho, seed, count):
+    """Trajectories of the power-weighted cumulative-increment process.
+
+    Value at the k-th grid point: tau_k^rho times the running sum of
+    w(i-1) * sqrt(tau_i - tau_{i-1}) up to i = k, with tau_0 = 0 anchored;
+    its covariance is the generalized first-order spline kernel.
+    """
+    if grid.domain != UNIT01:
+        raise DomainError("expected a unit-interval grid")
+    rho = float(rho)
+    if rho <= -0.5:
+        raise DomainError("rho must be > -0.5")
+    tau = grid.points
+    w = maxent.standard_normal_matrix(seed, count, tau.size)
+    return np.cumsum(w * np.sqrt(np.diff(tau, prepend=0.0)), axis=1) * tau ** rho
+
+
 def reversed_image_grid(grid, beta):
     return unit_grid(np.exp(-2.0 * beta * grid.points)[::-1])
 
@@ -79,9 +101,7 @@ def test_matched_seed_reversal_equivalence():
     _, beta, rho = kernels.stable_params(SPEC)
     image = reversed_image_grid(GRID, beta)
     dc_vals = maxent.values_matrix(maxent.sample_dc_process(GRID, SPEC, seed=11, count=64))
-    gs_vals = maxent.values_matrix(
-        maxent.sample_genspline_process(image, rho, seed=11, count=64)
-    )
+    gs_vals = sample_genspline_process(image, rho, seed=11, count=64)
     assert np.max(np.abs(gs_vals - dc_vals[:, ::-1])) <= 1e-14
 
 
@@ -114,7 +134,7 @@ def test_seed_and_count_validation():
 def test_domain_mismatches_are_rejected():
     unit = unit_grid([0.2, 0.7])
     with pytest.raises(DomainError):
-        maxent.sample_genspline_process(GRID, 0.5, seed=0, count=1)
+        sample_genspline_process(GRID, 0.5, seed=0, count=1)
     with pytest.raises(DomainError):
         maxent.sample_dc_process(unit, SPEC, seed=0, count=1)
     with pytest.raises(DomainError):
@@ -122,7 +142,7 @@ def test_domain_mismatches_are_rejected():
     with pytest.raises(DomainError):
         maxent.verify_maxent_constraints(unit, SPEC, covariance=np.eye(2))
     with pytest.raises(DomainError):
-        maxent.sample_genspline_process(unit, -0.5, seed=0, count=1)
+        sample_genspline_process(unit, -0.5, seed=0, count=1)
 
 
 def test_sample_wrapper_fields():
@@ -207,3 +227,54 @@ def test_values_matrix_passthrough():
     assert np.array_equal(maxent.values_matrix(mat), mat)
     row = np.arange(3.0)
     assert maxent.values_matrix(row).shape == (1, 3)
+
+
+# ---- the numpy ndtri port against scipy's cephes ndtri, bit for bit ----
+
+def _neighbours(x):
+    return [float(np.nextafter(x, 0.0)), float(x), float(np.nextafter(x, 1.0))]
+
+
+NDTRI_EDGES = (
+    _neighbours(math.exp(-2.0))
+    + _neighbours(1.0 - math.exp(-2.0))
+    + _neighbours(math.exp(-32.0))  # the x = 8 switch
+    + _neighbours(1.0 - math.exp(-32.0))
+    + [2.0 ** -54, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.5, 5e-324, 1e-300, 0.0, 1.0]
+)
+
+UNIFORMS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.5 - 1e-6, 0.5 + 1e-6),
+    st.floats(5e-324, math.exp(-2.0)),  # lower tail
+    st.floats(1.0 - math.exp(-2.0), 1.0),  # upper tail
+    st.floats(5e-324, 1e-13),  # both sides of exp(-32)
+    st.sampled_from(NDTRI_EDGES),
+)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(u=st.lists(UNIFORMS, min_size=1, max_size=40))
+@example(u=list(NDTRI_EDGES))
+def test_ndtri_port_matches_scipy_bit_for_bit(u):
+    u = np.array(u)
+    assert _same_bits(maxent._ndtri(u), ndtri(u))
+
+
+def test_ndtri_port_without_an_extended_log_matches_scipy(monkeypatch):
+    # where long double has no 64-bit mantissa every log goes to math.log
+    monkeypatch.setattr(maxent, "_X87_LOG", False)
+    u = np.concatenate([NDTRI_EDGES, np.linspace(1e-9, 1.0, 5001)])
+    assert _same_bits(maxent._ndtri(u), ndtri(u))
+
+
+def test_ndtri_port_matches_scipy_on_every_draw_of_a_large_matrix():
+    values = maxent.standard_normal_matrix(0, 750, 4000)
+    key = np.array([0, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    raw = gen.integers(0, 1 << 53, size=(750, 4000), dtype=np.uint64)
+    assert _same_bits(values, ndtri((raw.astype(np.float64) + 0.5) * 2.0 ** -53))

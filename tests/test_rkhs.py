@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dckernel import kernels, mercer, rkhs
 from dckernel.errors import DomainError
+from dckernel.quadrature import (
+    DEFAULT_QUADRATURE,
+    composite_rule,
+    integrate_refining,
+    unit_breakpoints,
+)
 
 # closed-form squared norms of exp(-gamma t), frozen from exact arithmetic
 NORM_TC_HALF = 1.0  # beta=0.5, rho=0, gamma=1
@@ -39,6 +47,23 @@ def test_tc_norm_matches_dc_at_zero_weight():
         rkhs.tc_norm_integral(handle, kernels.dc(0.2, 0.3))
 
 
+def genspline_norm_integral(handle, rho):
+    """Squared norm of a unit-interval function in the power-weighted space.
+
+    ``handle`` lives on [0, 1] (with f(0) = 0); the integrand is the squared
+    derivative of f(tau) / tau^rho.  Equals the half-line dc norm of
+    f(exp(-2 beta t)) for every beta.
+    """
+
+    def integrand(tau):
+        num = handle.derivative(tau) * tau - rho * handle.evaluate(tau)
+        scaled = tau ** (-(rho + 1.0)) * num
+        return scaled * scaled
+
+    splits = tuple(float(c) for c in handle.corners)
+    return integrate_refining(integrand, DEFAULT_QUADRATURE, splits=splits)
+
+
 def test_genspline_norm_consistency():
     # e^{-gamma t} pulled to the unit interval must give the same norm
     beta, rho, gamma = 0.5, 0.5, 2.0
@@ -52,7 +77,7 @@ def test_genspline_norm_consistency():
         return np.where(tau > 0.0, e * tau ** (e - 1.0), 0.0)
 
     unit_handle = rkhs.FunctionHandle(func=unit_func, deriv=unit_deriv)
-    unit_val = rkhs.genspline_norm_integral(unit_handle, rho)
+    unit_val = genspline_norm_integral(unit_handle, rho)
     half_val = rkhs.dc_norm_integral(exp_handle(gamma), spec)
     assert unit_val == pytest.approx(half_val, rel=1e-9)
 
@@ -69,6 +94,44 @@ def test_membership_screen():
     )
     with pytest.raises(DomainError):
         rkhs.membership_necessary_check(0.0, spec)
+    # beta / alpha = 31, where recomputing alpha from rho used to fail
+    assert (
+        rkhs.membership_necessary_check(2.0, kernels.dc(0.8213, 25.48))
+        is rkhs.MembershipVerdict.PASSES_NECESSARY
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    log_alpha=st.floats(-3.0, 3.0),
+    log_beta=st.floats(-3.0, 3.0),
+    ratio=st.floats(0.5, 2.0),
+)
+def test_membership_screen_compares_the_decay_with_alpha(log_alpha, log_beta, ratio):
+    # any dc kernel in the box, however large beta / alpha: a verdict, never
+    # an internal error
+    alpha, beta = 10.0 ** log_alpha, 10.0 ** log_beta
+    gamma = alpha * ratio
+    verdict = rkhs.membership_necessary_check(gamma, kernels.dc(alpha, beta))
+    passes = verdict is rkhs.MembershipVerdict.PASSES_NECESSARY
+    assert passes == (gamma > alpha)
+
+
+@pytest.mark.parametrize("m", [1, 31, 32, 33, 500, 1000])
+@pytest.mark.parametrize("spec", [kernels.tc(0.5), kernels.dc(1.0, 0.5)], ids=["ungraded", "graded"])
+def test_series_coefficients_match_the_direct_sine_matrix(spec, m):
+    # the blocked angle-addition transform against one sine per (i, node)
+    handle = exp_handle(2.0)
+    system = mercer.EigenSystem(spec, truncation=m)
+    _, coeffs = rkhs.dc_norm_series(handle, system)
+    beta, rho = spec.beta, system.rho
+    quad = DEFAULT_QUADRATURE
+    pts, wts = composite_rule(unit_breakpoints(quad, graded=rho != 0.0), quad.nodes)
+    base = wts * handle.evaluate(np.log(pts) / (-2.0 * beta)) * pts ** (-rho)
+    idx = np.arange(1, m + 1)[:, None]
+    direct = (np.sqrt(2.0) * np.sin((idx - 0.5) * np.pi * pts[None, :])) @ base
+    assert coeffs.shape == (m,)
+    assert np.max(np.abs(coeffs - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_series_norm_converges_from_below():
