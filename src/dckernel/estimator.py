@@ -684,7 +684,10 @@ class EstimateResult:
 def reconstruct(result: EstimateResult, t):
     """Fitted impulse response at times t (scalar in, scalar out)."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = result.basis(arr) @ result.coefficients
+    if result.dataset.input.is_impulse:
+        vals = result.operator.evaluate(arr, result.coefficients)
+    else:
+        vals = result.basis(arr) @ result.coefficients
     if np.ndim(t) == 0:
         return float(vals[0])
     return vals

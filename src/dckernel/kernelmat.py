@@ -11,14 +11,17 @@ them.
 
 `QuasiseparableGram` holds the Gram matrix of any half-line kernel as
 O(r n) generators, r the number of exponential terms on each triangle
-(`kernels.triangle_terms`: 1 for tc and dc, 2 for ss).  It solves with
-K + gamma I in O(r^2 n) time and memory, predicts held-out samples in
-O(r n) and multiplies by K in log2(n) vectorized passes, without forming
-K.  Nothing here needs more than numpy.
+(`kernels.triangle_terms`: 1 for tc and dc, 2 for ss).  Running sums give
+K x and sum_j x_j k(t, t_j) at any t in O(r (n + len(t))).  K + gamma I is
+solved in two levels: a generator Cholesky on all blocks of ceil(sqrt(n))
+samples at once (the last padded with decoupled samples), then an r x r
+Kalman recursion over the blocks' states; O(r^2 n) time and memory in about
+6 sqrt(n) Python-level steps, without forming K.  Numpy suffices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,24 +168,30 @@ def _not_positive_definite(gamma):
 def _running_sums(decay, b):
     """f_i = decay_i f_{i-1} + b_i along axis 0, with f_{-1} = 0.
 
-    Recursive doubling: after the pass with stride s every f_i holds its
-    last 2s terms, decayed to i, and ``a[i]`` the decay across them, so
-    log2(n) vectorized passes of O(n) work replace n sequential steps.
-    Every decay lies in [0, 1], so products only shrink.
+    In two levels: a sweep inside blocks of ceil(sqrt(n)) entries, all blocks
+    at once, which also leaves ``a``, each entry's decay back to its block's
+    start; then one across the blocks' last sums, which every block adds,
+    decayed.  About 2 sqrt(n) small steps replace n sequential ones.  Every
+    decay lies in [0, 1], so products only shrink.
     """
-    f = np.array(b, dtype=float)
-    a = np.broadcast_to(decay, f.shape).copy()
-    stride = 1
-    while stride < f.shape[0]:
-        f[stride:] += a[stride:] * f[:-stride]
-        a[stride:] *= a[:-stride]
-        stride *= 2
-    return f
+    b = np.asarray(b, dtype=float)
+    n, rest = b.shape[0], b.shape[1:]
+    size = math.isqrt(n - 1) + 1
+    count = -(-n // size)
+    pad = ((0, count * size - n),) + ((0, 0),) * len(rest)
 
+    def split(x):  # (size, count, ...), contiguous: each step reads one block of memory
+        return np.ascontiguousarray(np.pad(x, pad).reshape((count, size) + rest).swapaxes(0, 1))
 
-def _columns(x):
-    """Samples along axis 0: (n,) -> (n, 1), (g, n) -> (n, g)."""
-    return np.atleast_2d(np.asarray(x, dtype=float)).T
+    f, a = split(b), split(np.broadcast_to(decay, b.shape))
+    for j in range(1, size):
+        f[j] += a[j] * f[j - 1]
+        a[j] *= a[j - 1]
+    last = f[-1].copy()
+    for c in range(1, count):
+        last[c] += a[-1, c] * last[c - 1]
+    f[:, 1:] += a[:, 1:] * last[:-1]
+    return f.swapaxes(0, 1).reshape((count * size,) + rest)[:n]
 
 
 class QuasiseparableGram:
@@ -216,6 +225,7 @@ class QuasiseparableGram:
         t = grid.points
         self.rates = p
         self.decay = np.exp(-np.outer(np.diff(t, prepend=t[0]), p))
+        self._weights, self._scaled_rates = w, p + q
         self.scaled = w * np.exp(-np.outer(t, p + q))
 
     def leading(self, m: int) -> QuasiseparableGram:
@@ -223,99 +233,239 @@ class QuasiseparableGram:
         return QuasiseparableGram(self.spec, TimeGrid(self.grid.points[:m], HALFLINE))
 
     def dense(self) -> np.ndarray:
-        """K as an n x n array, built from the generators (for checks)."""
-        t = self.grid.points
-        lag = np.maximum(t[:, None] - t[None, :], 0.0)
-        sections = np.exp(-lag[:, :, None] * self.rates)
-        low = np.tril(np.einsum("ijk,jk->ij", sections, self.scaled))
-        return low + np.tril(low, -1).T
+        """K as an n x n array, by running sums over the generators (for checks)."""
+        return self.matvec(np.eye(self.grid.n))
 
-    def _apply(self, x):
-        """K x for x of shape (n, g)."""
-        out = np.zeros(x.shape)
-        for k in range(self.rates.size):
-            decay = self.decay[:, k, None]
-            scaled = self.scaled[:, k, None]
-            # on and below the diagonal: sum_{j <= i} exp(-p (t_i - t_j)) d(t_j) x_j
-            out += _running_sums(decay, scaled * x)
-            # above it: d(t_i) sum_{j > i} exp(-p (t_j - t_i)) x_j, run backward
-            ahead = _running_sums(np.roll(decay, -1, axis=0)[::-1], x[::-1])[::-1]
-            out[:-1] += scaled[:-1] * decay[1:] * ahead[1:]
-        return out
+    def evaluate(self, t, x) -> np.ndarray:
+        """sum_j x_j k(t, t_j) at times t >= 0, for one x or one per row.
+
+        With t_i the last sample at or before t: the running sum of d(t_j) x_j
+        over j <= i decayed from t_i to t, plus d(t) times that of x_j over
+        j > i decayed from t_{i+1} back to t.  O((n + len(t)) r), exponents <= 0.
+        """
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.all(t >= 0.0):
+            raise DomainError("kernel sections are evaluated at times >= 0")
+        x = np.asarray(x, dtype=float)
+        times, decay = self.grid.points, self.decay[:, :, None]
+        cols = np.atleast_2d(x).T[:, None, :] + np.zeros(decay.shape)  # (n, r, g)
+        zero = np.zeros((1,) + cols.shape[1:])
+        forward = np.concatenate([zero, _running_sums(decay, self.scaled[:, :, None] * cols)])
+        ahead = _running_sums(np.roll(decay, -1, axis=0)[::-1], cols[::-1])[::-1]
+        ahead = np.concatenate([ahead, zero])
+        i = np.searchsorted(times, t, side="right")  # samples at or before t
+        since = np.maximum(t - times[np.maximum(i - 1, 0)], 0.0)
+        until = np.maximum(times[np.minimum(i, times.size - 1)] - t, 0.0)
+        before = np.exp(-np.outer(since, self.rates))[:, :, None]
+        exponent = np.outer(t, self._scaled_rates) + np.outer(until, self.rates)
+        after = (self._weights * np.exp(-exponent))[:, :, None]
+        out = forward[i] * before + after * ahead[i]
+        return np.add.reduce(out, axis=1).T.reshape(x.shape[:-1] + t.shape)
 
     def matvec(self, x) -> np.ndarray:
         """K x; ``x`` is one vector of length n or one per row."""
-        x = np.asarray(x, dtype=float)
-        return self._apply(_columns(x)).T.reshape(x.shape)
+        return self.evaluate(self.grid.points, x)
 
     def cross(self, m: int, c) -> np.ndarray:
-        """K[m:, :m] c: predictions at the samples after the first ``m``.
-
-        For i >= m every entry is exp(-p (t_i - t_{m-1})) times the
-        decayed sum the coefficients leave at t_{m-1}.
-        """
-        c = np.asarray(c, dtype=float)
-        t = self.grid.points
-        last = np.exp(-np.outer(t[m - 1] - t[:m], self.rates)) * self.scaled[:m]
-        ahead = np.exp(-np.outer(t[m:] - t[m - 1], self.rates))
-        return (_columns(c).T @ last @ ahead.T).reshape(c.shape[:-1] + (t.size - m,))
+        """K[m:, :m] c: predictions at the samples after the first ``m``."""
+        return self.leading(m).evaluate(self.grid.points[m:], c)
 
     def solve(self, y, gamma) -> np.ndarray:
-        """(K + gamma I) c = y by a generator Cholesky factor, with a residual guard.
+        """(K + gamma I) c = y by `_two_level`, refined, with a residual guard.
 
-        The factor L has L[i, i] = pivot_i and, for i > j,
-        L[i, j] = sum_k exp(-p_k (t_i - t_j)) gen[j, k].  Row i needs only
-        S, the r x r sum of gen_l gen_l' over l < i decayed to t_i:
-
-            pivot_i^2 = K[i, i] + gamma - 1' S 1,
-            gen_i     = (d(t_i) - S 1) / pivot_i.
-
-        The forward solve z = L^{-1} y rides along as one more column
-        (row i of the factor of the matrix bordered by y ends in z_i), so
-        one pass over the samples factors and solves forward; a second,
-        backward, carries the decayed sum of the later coefficients.
-        Raises ConditioningError on a pivot <= 0 or when
-        |(K + gamma I) c - y| exceeds RESIDUAL_TOL |y|.
+        The r x r coupling of the two levels loses digits where the state is
+        pinned down far below its prior (ss at small gamma on dense grids).
+        So a gamma whose residual exceeds the smaller of RESIDUAL_TOL |y| / 10
+        and 32 eps |(K + gamma I)| |c| (well above what rounding alone leaves;
+        K >= 0 entrywise) gets up to three steps of iterative refinement, each
+        one more application of the same factors to the residual, for as
+        long as they halve it.
+        Raises ConditioningError when |(K + gamma I) c - y| still exceeds
+        RESIDUAL_TOL |y|.
         """
         y = np.asarray(y, dtype=float)
         gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
-        r = self.rates.size
-        decay = self.decay[:, :, None]
-        # T's columns 0..r-1 hold S and column r the decayed sum of gen_l z_l;
-        # moving from t_{i-1} to t_i scales T[k, l] by decay[i, k] decay[i, l]
-        bordered = np.pad(self.decay, ((0, 0), (0, 1)), constant_values=1.0)
-        carry = decay[:, :, None] * bordered[:, None, :, None]
-        rhs = np.column_stack([self.scaled, y])[:, :, None]
-        diag = self.scaled.sum(axis=1)[:, None] + gammas
-        n, width = diag.shape
-        T = np.zeros((r, r + 1, width))
-        pivot = np.empty((n, width))
-        row = np.empty((n, r + 1, width))
+        width = gammas.size
+        factor = self._two_level(gammas)
+        c = factor(np.repeat(y[:, None], width, axis=1)).T
+        applied = self.matvec(np.concatenate([c, np.abs(c)]))  # K c and K |c|
+        residual = applied[:width] + gammas[:, None] * c - y
+        norms = np.linalg.norm(residual, axis=1)
+        rounding = np.linalg.norm(applied[width:] + gammas[:, None] * np.abs(c), axis=1)
+        tenth = 0.1 * RESIDUAL_TOL * np.linalg.norm(y)
+        floor = np.minimum(32.0 * np.finfo(float).eps * rounding, tenth)
+        active = norms > floor
+        for _ in range(3):
+            if not active.any():
+                break
+            # every gamma gets a correction from its own residual; active ones keep it if better
+            trial = c - factor(residual.T).T
+            fresh = self.matvec(trial) + gammas[:, None] * trial - y
+            new = np.linalg.norm(fresh, axis=1)
+            keep = active & (new < norms)
+            c[keep], residual[keep] = trial[keep], fresh[keep]
+            active &= (new < 0.5 * norms) & (new > floor)
+            norms[keep] = new[keep]
+        _checked_residual(residual, y, gammas)
+        return c[0] if np.ndim(gamma) == 0 else c
+
+    def _state_covariance(self, tau):
+        """Lam(tau), (len(tau), r, r): the covariance of the kernel's state at tau.
+
+        Given all samples up to tau, the kernel's future mean is
+        sum_k exp(-p_k (t - tau)) xi_k; Lam = Cov(xi) solves Lam p^i = q^i d(tau)
+        for i < r, the covariances of xi with the value at tau and (ss) its slope.
+        """
+        p, q = self.rates, self._scaled_rates - self.rates
+        powers = np.arange(p.size)
+        d = self._weights * np.exp(-np.outer(tau, self._scaled_rates))
+        return d[:, :, None] * q[:, None] ** powers @ np.linalg.inv(p[:, None] ** powers)
+
+    def _two_level(self, gammas):
+        """Factor K + gamma I in two levels; returns solve: y (n, g) -> c (n, g).
+
+        One factor per gamma, y and c one column per gamma.
+
+        Blocks of B = ceil(sqrt(n)) samples, the last padded with decoupled
+        ones (decay, generators and y 0, diagonal 1: exact zero rows and
+        columns).  Given the samples up to tau_b, the previous block's last
+        time, the kernel on block b is U xi plus a conditional part, with
+        U[j, k] = exp(-p_k (t_j - tau_b)) and xi the state, of covariance
+        Lam = `_state_covariance` (taken as 0 for the first block and for
+        gamma < 0).
+
+        Factor: a local sweep runs the generator Cholesky L L' of
+        Z0 = K_bb - U Lam U' + gamma I on all blocks at once in B vectorized
+        steps, started from Lam, with [U, X] as bordered columns (X: the block
+        against the next state's innovation).  It yields W = U'F_U and
+        P = U'F_X for F = Z0^{-1} [U, X], and N, the innovation covariance
+        the block leaves unexplained.  Over the blocks, a Kalman filter
+        carries C, the covariance of the state given the earlier blocks:
+        block b's system is Z0 + U C U', H = C (I + W C)^{-1} is the state's
+        posterior covariance and, with E = D - P (D the decay across the
+        block), E'HE + N the next C.  W C has real eigenvalues, so for
+        r <= 2 a positive trace and determinant of I + W C make the block's
+        system positive definite.
+
+        Solve: a local sweep applies L^{-1} to y, giving q = U'F_y and
+        s = X'F_y.  The filter's mean m goes forward: m + H zeta, with
+        zeta = q - W m, is the state's posterior mean and E'(m + H zeta) + s
+        the next m.  Back across the blocks, with a the decayed sum of U'c
+        over later ones, c_b = F_y - F_U (m + H zeta + H E a) - F_X a and the
+        next a is (I + W C)^{-1} (E a + zeta); a last local sweep applies
+        L'^{-1} to that combination of L^{-1} [U, X, y].  The factor takes
+        about 2 sqrt(n) Python-level steps and each solve about 4 sqrt(n);
+        nothing B x B or n x n is formed.
+
+        Raises ConditioningError, naming the first failing gamma, on a pivot
+        <= 0 or when I + W C is not positive definite.
+        """
+        t, p = self.grid.points, self.rates
+        n, r = self.scaled.shape
+        width = gammas.size
+        size = math.isqrt(n - 1) + 1
+        count = -(-n // size)
+        lasts = t[np.minimum(np.arange(1, count + 1) * size, n) - 1]
+        anchors = np.concatenate([t[:1], lasts[:-1]])
+        block = np.arange(n) // size
+        U = np.exp(-np.outer(t - anchors[block], p))
+        across = np.exp(-np.outer(lasts - anchors, p))
+        # a negative gamma starts every block from nothing instead, so that a failing
+        # local factor (a principal block of K + gamma I) proves the whole indefinite
+        warm = (gammas >= 0.0)[:, None, None]
+        prior = self._state_covariance(anchors)[:, None] * warm  # (count, width, r, r)
+        prior[0] = 0.0  # nothing precedes the first block
+        X = (np.exp(-np.outer(lasts[block] - t, p)) * self.scaled)[:, None]
+        X = X - np.einsum("jk,jgkl->jgl", U, (prior * across[:, None, None, :])[block])
+
+        def blocked(a, fill=0.0):  # pad axis 0 to count * size, split to (size, ..., count)
+            a = np.concatenate([a, np.full((count * size - n,) + a.shape[1:], fill)])
+            a = np.moveaxis(a.reshape((count, size) + a.shape[1:]), 0, -1)
+            return np.ascontiguousarray(a)  # each step then reads one stretch of memory
+
+        # T: the decayed sums of gen_l gen_l' (columns < r, from Lam) and of gen_l z_l
+        # for z = L^{-1} [U, X]; moving to t_i scales T[k, l] by decay[i, k] decay[i, l],
+        # the bordered columns by decay[i, k] alone
+        decay = blocked(self.decay)[..., None, :]
+        bordered = np.pad(self.decay, ((0, 0), (0, 2 * r)), constant_values=1.0)
+        carry = blocked(self.decay[:, :, None] * bordered[:, None, :])[..., None, :]
+        shared = np.repeat(np.column_stack([self.scaled, U])[:, :, None], width, axis=2)
+        rhs = blocked(np.concatenate([shared, X.transpose(0, 2, 1)], axis=1))
+        diag = blocked(self.scaled.sum(axis=1)[:, None] + gammas, fill=1.0)
+        T = np.zeros((r, 3 * r, width, count))
+        T[:, :r] = prior.transpose(2, 3, 1, 0)
+        products = np.zeros((r, 2 * r, width, count))  # U'F_U and U'F_X
+        pivot = np.empty((size, width, count))
+        row = np.empty((size, 3 * r, width, count))
         add = np.add.reduce  # ndarray.sum costs a Python-level call per step
         with np.errstate(invalid="ignore", divide="ignore"):
-            for i in range(n):
-                T *= carry[i]
+            for j in range(size):
+                T *= carry[j]
                 sums = add(T)
-                pivot_i = np.sqrt(diag[i] - add(sums[:r]))
-                v = (rhs[i] - sums) / pivot_i
+                pivot_j = np.sqrt(diag[j] - add(sums[:r]))
+                v = (rhs[j] - sums) / pivot_j
                 T += v[:r, None] * v
-                pivot[i] = pivot_i
-                row[i] = v
-        bad = ~np.all(pivot > 0.0, axis=0)
+                products += v[r : 2 * r, None] * v[r:]
+                pivot[j] = pivot_j
+                row[j] = v
+            bad = ~np.all(pivot > 0.0, axis=(0, 2))
+            Q = products.transpose(3, 2, 0, 1)  # (count, width, r, 2 r)
+            unexplained = self._state_covariance(lasts)[:, None] * warm
+            unexplained -= T[:, :r].transpose(3, 2, 0, 1)
+            eye = np.eye(r)
+            C, steps = np.zeros((width, r, r)), []
+            for W, P, D, N in zip(Q[..., :r], Q[..., r:], across, unexplained):
+                M = eye + W @ C
+                # W >= 0 and C symmetric: eigenvalues of W C are real, all above -1
+                # iff I + W C has positive trace and determinant (r <= 2)
+                good = (np.linalg.det(M) > 0.0) & (np.trace(M, axis1=1, axis2=2) > 0.0)
+                bad |= ~good
+                inverse = np.linalg.inv(np.where(good[:, None, None], M, eye))
+                H = C @ inverse
+                E = eye * D - P
+                steps.append((W, H, H @ E, inverse, E))
+                C = E.swapaxes(1, 2) @ H @ E + N
         if bad.any():
             raise _not_positive_definite(gammas[np.argmax(bad)])
-        # backward: c_i = (z_i - gen_i' ahead_i) / pivot_i, with row i pre-divided
-        row /= pivot[:, None]
-        gen, z = row[:, :r], row[:, r]
-        c = np.empty((n, width))
-        ahead = np.zeros((r, width))
-        for i in range(n - 1, -1, -1):
-            c_i = z[i] - add(gen[i] * ahead)
-            c[i] = c_i
-            ahead += c_i
-            ahead *= decay[i]
-        _checked_residual((self._apply(c) + gammas * c - y[:, None]).T, y, gammas)
-        return c[:, 0] if np.ndim(gamma) == 0 else c.T
+        gen, zU, zX = row[:, :r], row[:, r : 2 * r], row[:, 2 * r :]
+        lower = gen / pivot[:, None]  # L's generators over its diagonal
+
+        def solve(y):
+            """c (n, width) for y (n, width), one column per gamma."""
+            yb = blocked(y)
+            carried, zy = np.zeros((r, width, count)), np.empty((size, width, count))
+            q, s = np.zeros((r, width, count)), np.zeros((r, width, count))  # U'F_y, X'F_y
+            for j in range(size):  # the local forward sweep for y alone
+                carried *= decay[j]
+                z = (yb[j] - add(carried)) / pivot[j]
+                carried += gen[j] * z
+                q += zU[j] * z
+                s += zX[j] * z
+                zy[j] = z
+            mean, states = np.zeros((width, r, 1)), []
+            for (W, H, HE, inverse, E), q_b, s_b in zip(steps, q.T[..., None], s.T[..., None]):
+                zeta = q_b - W @ mean
+                post = mean + H @ zeta
+                states.append((post, zeta))
+                mean = E.swapaxes(1, 2) @ post + s_b
+            coef_u, coef_x = np.empty((count, width, r)), np.empty((count, width, r))
+            a = np.zeros((width, r, 1))
+            for b in range(count - 1, -1, -1):
+                HE, inverse, E = steps[b][2:]
+                post, zeta = states[b]
+                coef_u[b], coef_x[b] = -(post + HE @ a)[..., 0], -a[..., 0]
+                a = inverse @ (E @ a + zeta)
+            combined = zy + add(zU * coef_u.T, axis=1) + add(zX * coef_x.T, axis=1)
+            combined /= pivot
+            c, ahead = np.empty((size, width, count)), np.zeros((r, width, count))
+            for j in range(size - 1, -1, -1):  # the local backward sweep
+                c_j = combined[j] - add(lower[j] * ahead)
+                c[j] = c_j
+                ahead += c_j
+                ahead *= decay[j]
+            return np.moveaxis(c, 2, 0).reshape(count * size, width)[:n]
+
+        return solve
 
 
 def max_off_tridiagonal(matrix: np.ndarray) -> float:

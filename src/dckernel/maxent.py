@@ -138,7 +138,7 @@ def standard_normal_matrix(seed: int, count: int, n: int) -> np.ndarray:
 
     Row blocks of 4096 samples each use their own Philox stream keyed by
     (seed, block), so block b is reproducible without generating blocks
-    0..b-1.  Uniforms are mapped through the normal inverse CDF; the offset
+    0..b-1.  Uniforms are mapped through the normal inverse CDF; `_uniform`
     keeps them strictly inside (0, 1).
     """
     seed = _nonnegative_int(seed, "seed")
@@ -148,9 +148,14 @@ def standard_normal_matrix(seed: int, count: int, n: int) -> np.ndarray:
         gen = np.random.Generator(np.random.Philox(key=key))
         m = min(_BATCH, count - start)
         raw = gen.integers(0, 1 << 53, size=(m, n), dtype=np.uint64)
-        u = (raw.astype(np.float64) + 0.5) * 2.0 ** -53
-        out[start : start + m] = _ndtri(u).reshape(m, n)
+        out[start : start + m] = _ndtri(_uniform(raw)).reshape(m, n)
     return out
+
+
+def _uniform(raw):
+    """(raw + 1/2) 2^-53, clamped below 1: raw = 2^53 - 1 alone rounds to 1."""
+    u = (raw.astype(np.float64) + 0.5) * 2.0 ** -53
+    return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
 
 
 def _horner(x, coef):

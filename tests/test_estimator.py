@@ -524,6 +524,21 @@ def test_impulse_fit_edge_cases_match_dense_cholesky(spec, times):
         assert _rel(fit.fitted_outputs(), gram @ ref) <= 1e-10
 
 
+@pytest.mark.parametrize("spec", [kernels.tc(0.5), kernels.dc(0.3, 0.7), kernels.ss(0.6)])
+def test_impulse_reconstruct_matches_the_dense_basis(spec):
+    # running sums against the len(t) x n basis of kernel sections, at t = 0,
+    # at the samples, between them and past the last one
+    times = np.concatenate([[0.2, 0.2 + 1e-9], np.linspace(0.5, 30.0, 120)])
+    y = np.exp(-0.3 * times) * np.cos(times)
+    fit = estimator.estimate(spec, estimator.Dataset(times, y, estimator.ImpulseInput(), 1e-3))
+    t = np.concatenate([[0.0], times, (times[:-1] + times[1:]) / 2, times[-1] + [1e-9, 0.5, 40.0]])
+    terms = fit.basis(t) * fit.coefficients
+    got = estimator.reconstruct(fit, t)
+    assert np.all(np.abs(got - terms.sum(axis=1)) <= 1e-12 * np.abs(terms).sum(axis=1))
+    with pytest.raises(DomainError):
+        estimator.reconstruct(fit, -0.1)
+
+
 def test_grid_search_exact_fits_tie_to_the_larger_gamma():
     # exp(-t) lies in the tc(0.5) span, so small gammas predict the holdout
     # to rounding; such scores (1e-33 here) must not decide the choice

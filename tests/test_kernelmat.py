@@ -1,8 +1,10 @@
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
@@ -300,3 +302,204 @@ def test_impulse_fitted_outputs_match_dense(problem, gamma, seed):
     c = fit.coefficients
     assert np.all(np.abs(fit.fitted_outputs() - K @ c) <= 1e-12 * _bound(K, c))
     assert fit.solve_residual_rel <= 1e-9
+
+
+# ---- the two-level solve against the per-sample generator Cholesky ----
+
+
+def sequential_solve(op, y, gamma):
+    """(K + gamma I) c = y by one generator Cholesky pass over the samples.
+
+    The factor L has L[i, i] = pivot_i and, for i > j,
+    L[i, j] = sum_k exp(-p_k (t_i - t_j)) gen[j, k].  Row i needs only S,
+    the r x r sum of gen_l gen_l' over l < i decayed to t_i:
+
+        pivot_i^2 = K[i, i] + gamma - 1' S 1,
+        gen_i     = (d(t_i) - S 1) / pivot_i.
+
+    The forward solve z = L^{-1} y rides along as one more column, and a
+    backward pass carries the decayed sum of the later coefficients.  This
+    is the recursion `QuasiseparableGram.solve` runs on every block at
+    once, here over all n samples one by one, as its oracle.
+    """
+    y = np.asarray(y, dtype=float)
+    gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
+    r = op.rates.size
+    decay = op.decay[:, :, None]
+    # T's columns 0..r-1 hold S and column r the decayed sum of gen_l z_l
+    bordered = np.pad(op.decay, ((0, 0), (0, 1)), constant_values=1.0)
+    carry = decay[:, :, None] * bordered[:, None, :, None]
+    rhs = np.column_stack([op.scaled, y])[:, :, None]
+    diag = op.scaled.sum(axis=1)[:, None] + gammas
+    n, width = diag.shape
+    T = np.zeros((r, r + 1, width))
+    pivot = np.empty((n, width))
+    row = np.empty((n, r + 1, width))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(n):
+            T *= carry[i]
+            sums = T.sum(axis=0)
+            pivot_i = np.sqrt(diag[i] - sums[:r].sum(axis=0))
+            v = (rhs[i] - sums) / pivot_i
+            T += v[:r, None] * v
+            pivot[i] = pivot_i
+            row[i] = v
+    bad = ~np.all(pivot > 0.0, axis=0)
+    if bad.any():
+        raise kernelmat._not_positive_definite(gammas[np.argmax(bad)])
+    row /= pivot[:, None]
+    gen, z = row[:, :r], row[:, r]
+    c = np.empty((n, width))
+    ahead = np.zeros((r, width))
+    for i in range(n - 1, -1, -1):
+        c[i] = z[i] - (gen[i] * ahead).sum(axis=0)
+        ahead += c[i]
+        ahead *= decay[i]
+    return c[:, 0] if np.ndim(gamma) == 0 else c.T
+
+
+@st.composite
+def blocked_problems(draw):
+    """(spec, grid): n at and around a square block count, 2 rate t up to 80."""
+    spec = draw(st.sampled_from(QS_SPECS))
+    b = draw(st.integers(2, 9))
+    n = draw(st.sampled_from([1, 2, 3, b * b - 1, b * b, b * b + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate = spec.beta if spec.stable else spec.alpha
+    horizon = draw(st.sampled_from([1e-6, 0.5, 5.0, 30.0, 80.0])) / (2.0 * rate)
+    gaps = rng.uniform(0.1, 1.0, n - 1)
+    gaps *= horizon / max(gaps.sum(), 1e-300)
+    run = draw(st.integers(0, n - 1))
+    start = draw(st.integers(0, n - 1 - run))
+    gaps[start : start + run] = 1e-9
+    t0 = draw(st.sampled_from([0.0, 0.3]))
+    return spec, halfline_grid(t0 + np.concatenate([[0.0], np.cumsum(gaps)]))
+
+
+def _relative_gap(c, ref):
+    return np.max(np.abs(c - ref)) / np.max(np.abs(ref))
+
+
+# 50 samples 1e-9 apart, and 2 rate t = 80 at n = 9^2 + 1 and n = 9^2
+EDGE_PROBLEMS = [
+    (kernels.dc(0.6, 0.4), halfline_grid(1.0 + 1e-9 * np.arange(50))),
+    (kernels.tc(0.5), halfline_grid(np.linspace(0.1, 80.0, 82))),
+    (kernels.ss(0.6), halfline_grid(np.linspace(0.0, 200 / 3, 81))),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=blocked_problems(),
+    gamma=st.sampled_from([1e-3, 1e-2, 1e-1, 1.0, 1e2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(problem=EDGE_PROBLEMS[0], gamma=1e-3, seed=1)
+@example(problem=EDGE_PROBLEMS[1], gamma=1e-3, seed=2)
+@example(problem=EDGE_PROBLEMS[2], gamma=1e-3, seed=3)
+def test_two_level_solve_matches_sequential_and_dense(problem, gamma, seed):
+    spec, grid = problem
+    op = kernelmat.QuasiseparableGram(spec, grid)
+    K = kernelmat.assemble(spec, grid).values
+    y = np.random.default_rng(seed).normal(size=grid.n)
+    gammas = [gamma, 10.0 * gamma, 0.1 * gamma]
+    rows = op.solve(y, gammas)
+    assert rows.shape == (3, grid.n)
+    assert np.array_equal(rows[0], op.solve(y, gamma))
+    sequential = sequential_solve(op, y, gammas)
+    for g, c, oracle in zip(gammas, rows, sequential):
+        dense = cho_solve(cho_factor(K + g * np.eye(grid.n)), y)
+        assert _relative_gap(c, oracle) <= 1e-10
+        assert _relative_gap(c, dense) <= 1e-10
+
+
+def _boundary_pair_problem(spec):
+    """Nine samples, blocks of three, the two closest straddling a block edge.
+
+    Returns (operator, gamma) with gamma between minus the least eigenvalue
+    of K and minus that of every diagonal block: each block of K + gamma I
+    is positive definite on its own, the whole is not.
+    """
+    grid = halfline_grid([0.0, 0.1, 0.2, 0.2001, 0.3, 0.4, 0.5, 0.6, 0.7])
+    K = kernelmat.assemble(spec, grid).values
+    size = math.isqrt(grid.n - 1) + 1  # the solve's block size
+    lowest = np.linalg.eigvalsh(K)[0]
+    blocks = range(0, grid.n, size)
+    local = min(np.linalg.eigvalsh(K[i : i + size, i : i + size])[0] for i in blocks)
+    assert local > 100.0 * lowest > 0.0
+    return kernelmat.QuasiseparableGram(spec, grid), -math.sqrt(lowest * local)
+
+
+@pytest.mark.parametrize("spec", QS_SPECS)
+def test_indefinite_system_names_the_first_failing_gamma(spec):
+    op, coupled = _boundary_pair_problem(spec)
+    y = np.ones(op.grid.n)
+    local = -10.0  # fails inside every block
+    for gammas, first in (
+        (coupled, coupled),
+        ([1.0, coupled, local], coupled),
+        ([1.0, local, coupled], local),
+        ([local, 1.0], local),
+    ):
+        message = f"regularized system is not positive definite at gamma={first:g}"
+        for solve in (op.solve, lambda y, g: sequential_solve(op, y, g)):
+            with pytest.raises(ConditioningError, match=f"^{re.escape(message)}$"):
+                solve(y, gammas)
+    # a negative gamma that leaves K + gamma I positive definite is solved
+    lowest = np.linalg.eigvalsh(kernelmat.assemble(spec, op.grid).values)[0]
+    c = op.solve(y, -0.5 * lowest)
+    assert np.linalg.norm(op.matvec(c) - 0.5 * lowest * c - y) <= 1e-9 * np.linalg.norm(y)
+
+
+def _dense_ss_problem():
+    """900 close samples of a noisy response under ss(0.6)."""
+    times = np.linspace(0.01, 8.0, 900)
+    y = np.exp(-1.2 * times) - 0.5 * np.exp(-1.9 * times)
+    y += 1e-3 * np.random.default_rng(7).normal(size=times.size)
+    return kernelmat.QuasiseparableGram(kernels.ss(0.6), halfline_grid(times)), y
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-7])
+def test_refined_solve_keeps_the_sequential_accuracy_on_dense_ss_grids(gamma):
+    # the smooth ss kernel on close samples pins the state down far below its
+    # prior; the two-level coupling alone then misses RESIDUAL_TOL, and
+    # refinement must bring the residual back to the sequential solve's
+    op, y = _dense_ss_problem()
+
+    def residual(c):
+        return np.linalg.norm(op.matvec(c) + gamma * c - y) / np.linalg.norm(y)
+
+    c = op.solve(y, gamma)
+    oracle = sequential_solve(op, y, gamma)
+    assert residual(op._two_level(np.array([gamma]))(y[:, None])[:, 0]) > kernelmat.RESIDUAL_TOL
+    assert residual(c) <= 10.0 * residual(oracle)
+    assert _relative_gap(c, oracle) <= 1e-8
+
+
+def test_refinement_runs_whenever_the_guard_is_at_stake(monkeypatch):
+    # |c| is large here, so the rounding estimate 32 eps |K + gamma I| |c| lies
+    # above RESIDUAL_TOL |y|; a first solve that lands between the two must be
+    # refined, not refused
+    op, y = _dense_ss_problem()
+    gamma = 1e-7
+    exact = sequential_solve(op, y, gamma)
+    direction = np.random.default_rng(1).normal(size=y.size)
+    miss = op.matvec(direction) + gamma * direction
+    lossy = exact + 2e-9 * np.linalg.norm(y) / np.linalg.norm(miss) * direction
+    two_level = kernelmat.QuasiseparableGram._two_level
+    calls = []
+
+    def first_lossy(self, gammas):
+        solve = two_level(self, gammas)
+
+        def lossy_once(rhs):
+            calls.append(rhs)
+            return lossy[:, None] if len(calls) == 1 else solve(rhs)
+
+        return lossy_once
+
+    monkeypatch.setattr(kernelmat.QuasiseparableGram, "_two_level", first_lossy)
+    c = op.solve(y, gamma)
+    assert len(calls) > 1
+    residual = np.linalg.norm(op.matvec(c) + gamma * c - y)
+    assert residual <= 0.1 * kernelmat.RESIDUAL_TOL * np.linalg.norm(y)

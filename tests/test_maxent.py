@@ -121,6 +121,16 @@ def test_normal_matrix_block_prefix_property():
     assert not np.allclose(short, other)
 
 
+def test_uniform_map_stays_below_one_at_the_top_raw_values():
+    # (2^53 - 1) + 1/2 rounds to 2^53: unclamped, that draw would be +inf
+    raw = np.array([2**53 - 1, 2**53 - 2, 0], dtype=np.uint64)
+    u = maxent._uniform(raw)
+    assert u[0] == np.nextafter(1.0, 0.0)
+    assert u[1] == 1.0 - 2.0**-52  # unchanged by the clamp
+    assert u[2] == 2.0**-54
+    assert np.all(np.isfinite(maxent._ndtri(u)))
+
+
 def test_seed_and_count_validation():
     with pytest.raises(DomainError):
         maxent.standard_normal_matrix(-1, 4, 2)
