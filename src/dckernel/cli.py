@@ -139,11 +139,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _write_atomic(path: str, chunks) -> None:
-    """Write the text chunks to a temporary name, then rename it into place."""
+    """Write the byte chunks to a temporary name, then rename it into place."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dckernel_tmp_")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -159,21 +159,42 @@ def _write_csv(path: str, command: str, cfg_hash: str, columns, template, blocks
     from block to block formatted in once.  ``blocks`` yields ``(fields,
     numbers)``: each ``{name}`` key of ``fields`` is replaced by its text,
     then the ``%.17g`` fields take ``numbers`` (an array) in row order.
+    The numbers of consecutive blocks are formatted together by
+    `floatfmt.format_g17`, up to ``floatfmt.CHUNK`` at a time.
     """
+    import numpy as np
 
-    def block_text(fields, numbers):
-        text = template
-        for name, value in fields.items():
-            text = text.replace(name, value)
-        return text % tuple(numbers.ravel().tolist())
+    from .floatfmt import CHUNK, format_g17
+
+    pattern = template.replace(_FLOAT_FMT, "%s").encode()
+
+    def flush(pending):
+        texts = format_g17(np.concatenate([numbers.ravel() for _, numbers in pending]))
+        at = 0
+        for fields, numbers in pending:
+            text = pattern
+            for name, value in fields.items():
+                text = text.replace(name.encode(), value.encode())
+            yield text % tuple(texts[at : at + numbers.size].tolist())
+            at += numbers.size
+
+    def body():
+        pending, size = [], 0
+        for fields, numbers in blocks:
+            if pending and size + numbers.size > CHUNK:
+                yield from flush(pending)
+                pending, size = [], 0
+            pending.append((fields, numbers))
+            size += numbers.size
+        if pending:
+            yield from flush(pending)
 
     head = f"# dckernel {command} config={cfg_hash}\n{','.join(columns)}\n"
-    body = itertools.starmap(block_text, blocks)
-    _write_atomic(path, itertools.chain((head,), body))
+    _write_atomic(path, itertools.chain((head.encode(),), body()))
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_text(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _integer(value, key: str, minimum: int) -> int:
@@ -483,8 +504,8 @@ def _cmd_norm(cfg: dict, args) -> int:
         decay_hint=gamma,
     )
     quad_value = rkhs.dc_norm_integral(handle, spec, quad)
-    _, beta, rho = kernels.stable_params(spec)
-    closed = rkhs.exp_norm_closed_form(gamma, beta, rho)
+    alpha, beta, _ = kernels.stable_params(spec)
+    closed = rkhs.exp_norm_closed_form(gamma, alpha, beta)
     truncation = cfg["norm"]["truncation"]
     series = []  # the series field stays empty without a truncation
     if truncation is not None:

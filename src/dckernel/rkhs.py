@@ -188,14 +188,15 @@ def tc_norm_integral(
     return integrate_refining(integrand, quad, splits=_corner_splits(handle.corners, spec))
 
 
-def exp_norm_closed_form(gamma: float, beta: float, rho: float) -> float:
-    """Squared norm of exp(-gamma t) in the dc space of ``beta`` and ``rho``.
+def exp_norm_closed_form(gamma: float, alpha: float, beta: float) -> float:
+    """Squared norm of exp(-gamma t) in the dc space of ``alpha`` and ``beta``.
 
-    Finite only when gamma exceeds the diagonal decay (2 rho + 1) beta.
+    Finite only when gamma exceeds the diagonal decay alpha.  Written in
+    alpha, not in rho = (alpha - beta) / (2 beta): rebuilding alpha as
+    (2 rho + 1) beta cancels when beta >> alpha, which cost 1e-12 relative
+    at dc(0.01, 50).
     """
-    return 2.0 * beta * (rho - gamma / (2.0 * beta)) ** 2 / (
-        2.0 * gamma - (4.0 * rho + 2.0) * beta
-    )
+    return (alpha - beta - gamma) ** 2 / (4.0 * beta * (gamma - alpha))
 
 
 def dc_norm_series(

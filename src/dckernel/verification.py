@@ -196,7 +196,7 @@ def norm_checks(quad: QuadratureConfig = DEFAULT_QUADRATURE) -> list[CheckResult
     for beta, rho, gamma in NORM_TRIPLES:
         spec = kernels.dc(alpha=(2.0 * rho + 1.0) * beta, beta=beta)
         handle = _exp_handle(gamma)
-        exact = rkhs.exp_norm_closed_form(gamma, beta, rho)
+        exact = rkhs.exp_norm_closed_form(gamma, spec.alpha, beta)
         value = rkhs.dc_norm_integral(handle, spec, quad)
         worst_quad = max(worst_quad, abs(value - exact) / exact)
         system = mercer.EigenSystem(spec, truncation=500)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from dckernel import cli, kernelmat, kernels, maxent, mercer, verification
+from dckernel import cli, estimator, kernelmat, kernels, maxent, mercer, verification
 from dckernel.errors import ConfigError
 
 
@@ -532,6 +532,52 @@ def test_expand_artifact_matches_oracle(tmp_path):
     columns = ("row", "col", "x", "y", "truncated", "exact", "abs_error")
     expected = oracle_csv("expand", cli.config_hash(full), columns, rows)
     assert (tmp_path / "expansion.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("kind", ["impulse", "zoh"])
+def test_estimate_artifact_matches_oracle(tmp_path, kind):
+    if kind == "impulse":
+        data = impulse_fixture(tmp_path / "data.csv")
+        config = {"estimation": {"gamma": 1e-6, "input": {"kind": "impulse"}}}
+    else:
+        times = np.linspace(0.25, 3.0, 12).tolist()
+        rows = [f"{t!r},{math.exp(-t)!r},{math.cos(2.0 * t)!r}" for t in times]
+        data = tmp_path / "data.csv"
+        data.write_text("time,y,u\n" + "\n".join(rows) + "\n")
+        data = str(data)
+        config = {"estimation": {"gamma_grid": [1e-1, 1e-3]}}
+    config["estimation"]["eval_points"] = 31
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert cli.main(["estimate", "--config", cfg, "--data", data, "--out", str(tmp_path)]) == 0
+    full = cli.merged_config(config)
+    times, outputs, u_column = cli._read_dataset_csv(data)
+    dataset = estimator.Dataset(
+        np.array(times), np.array(outputs), cli._build_input(full, times, u_column), 0.0
+    )
+    block = full["estimation"]
+    fit = estimator.estimate(cli._build_kernel(full), dataset, block["gamma"], block["gamma_grid"])
+    grid = np.linspace(0.0, times[-1], 31)
+    rows = list(zip(grid.tolist(), estimator.reconstruct(fit, grid).tolist()))
+    expected = oracle_csv("estimate", cli.config_hash(full), ("time", "g_hat"), rows)
+    assert (tmp_path / "estimate.csv").read_bytes() == expected
+
+
+def test_tridiag_offband_matches_oracle(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {"kernel": {"variant": "dc", "alpha": 0.8}})
+    assert cli.main(["tridiag", "--config", cfg, "--out", str(tmp_path)]) == 0
+    full = cli.merged_config(json.loads(open(cfg).read()))
+    spec = cli._build_kernel(full)
+    grid = cli._linspace_grid(full["tridiag"]["grid"], "tridiag.grid")
+    gram = kernelmat.assemble(spec, grid).values
+    inverse = kernelmat.tridiagonal_inverse(spec, grid)
+    dense = np.linalg.inv(gram)
+    row = (
+        kernelmat.max_off_tridiagonal(dense) / float(np.max(np.abs(dense))),
+        float(np.max(np.abs(gram @ inverse - np.eye(grid.n)))),
+    )
+    columns = ("dense_offband_rel", "identity_residual")
+    expected = oracle_csv("tridiag", cli.config_hash(full), columns, [row])
+    assert (tmp_path / "tridiag_offband.csv").read_bytes() == expected
 
 
 def test_hot_paths_build_no_per_draw_samples(tmp_path, monkeypatch):

@@ -38,6 +38,21 @@ def test_closed_form_norms():
         assert value == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,gamma",
+    [(0.01, 50.0, 0.011), (0.01, 5.0, 0.0101), (0.8213, 25.48, 2.0), (0.18, 0.3, 0.39), (2.0, 0.5, 7.0)],
+)
+def test_exp_norm_closed_form_against_40_digits(alpha, beta, gamma):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b, g = (mpmath.mpf(v) for v in (alpha, beta, gamma))
+        exact = (a - b - g) ** 2 / (4 * b * (g - a))
+        value = rkhs.exp_norm_closed_form(gamma, alpha, beta)
+        # a few roundings of a cancellation-free form; the form in rho
+        # misses by 1.1e-12 at dc(0.01, 50), gamma = 0.011
+        assert abs(mpmath.mpf(value) / exact - 1) <= 1e-15
+
+
 def test_tc_norm_matches_dc_at_zero_weight():
     handle = exp_handle(1.5)
     tc_val = rkhs.tc_norm_integral(handle, kernels.tc(0.7))
