@@ -22,6 +22,7 @@ import sys
 import tempfile
 
 LONG = {"start": 0.1, "stop": 40.0, "num": 60}  # 2 beta t up to 40 at beta = 0.5
+DC = {"variant": "dc", "alpha": 0.6, "beta": 0.4}
 
 # (name, command, config, data file or None)
 RUNS = [
@@ -31,7 +32,10 @@ RUNS = [
     ("sample-cumulative-long", "sample", {"sampling": {"count": 20, "grid": LONG}}, None),
     ("sample-recursion-long", "sample", {"sampling": {"count": 20, "construction": "recursion",
                                                       "grid": LONG}}, None),
+    ("sample-cumulative-dc-1000x200", "sample", {"kernel": DC, "sampling": {"count": 1000, "seed": 7,
+                                                                            "grid": {"num": 200}}}, None),
     ("tridiag-tc", "tridiag", {"tridiag": {"grid": {"num": 40}}}, None),
+    ("tridiag-dc-200", "tridiag", {"kernel": DC, "tridiag": {"grid": {"num": 200}}}, None),
     ("tridiag-dc", "tridiag", {"kernel": {"variant": "dc", "alpha": 1.1, "beta": 0.4}}, None),
     ("expand-spline1", "expand", {"kernel": {"variant": "spline1"},
                                   "expand": {"truncation": 200, "grid_points": 30}}, None),
@@ -51,6 +55,10 @@ RUNS = [
      "impulse.csv"),
     ("estimate-zoh-grid", "estimate", {"kernel": {"variant": "dc", "alpha": 0.6, "beta": 0.5},
                                        "estimation": {"gamma_grid": [1e-4, 1e-2, 1.0]}}, "zoh.csv"),
+    ("estimate-impulse-ss-grid", "estimate", {"kernel": {"variant": "ss", "alpha": 0.6},
+                                              "estimation": {"gamma_grid": [1e-4, 1e-3, 1e-2, 1e-1],
+                                                             "input": {"kind": "impulse"}}},
+     "impulse-400.csv"),
     ("verify", "verify", {"verify": {"mc_count": 20000}}, None),
 ]
 
@@ -68,6 +76,12 @@ def write_inputs(directory: str) -> None:
     with open(os.path.join(directory, "impulse.csv"), "w") as fh:
         fh.write("time,y\n")
         fh.writelines(f"{t!r},{math.exp(-t) * (1 + 0.1 * math.sin(7 * t))!r}\n" for t in times)
+    with open(os.path.join(directory, "impulse-400.csv"), "w") as fh:
+        fh.write("time,y\n")
+        fh.writelines(
+            f"{0.02 * (i + 1)!r},{math.exp(-0.02 * (i + 1)) * (1 + 0.01 * math.sin(37.0 * i))!r}\n"
+            for i in range(400)
+        )
     with open(os.path.join(directory, "zoh.csv"), "w") as fh:
         fh.write("time,y,u\n")
         fh.writelines(

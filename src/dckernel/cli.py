@@ -26,7 +26,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -35,9 +34,6 @@ import time
 from .errors import ConfigError
 
 __all__ = ["main", "default_config", "merged_config", "config_hash"]
-
-# round-trip exact, and the same text as format(x, ".17g")
-_FLOAT_FMT = "%.17g"
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -152,49 +148,92 @@ def _write_atomic(path: str, chunks) -> None:
         raise
 
 
-def _write_csv(path: str, command: str, cfg_hash: str, columns, template, blocks) -> None:
-    """Stream a CSV artifact into place, one block of rows per write.
+def _write_csv(path: str, command: str, cfg_hash: str, header, columns) -> None:
+    """Stream a CSV artifact into place, one chunk of rows per write.
 
-    ``template`` is the text of one block, with the columns that repeat
-    from block to block formatted in once.  ``blocks`` yields ``(fields,
-    numbers)``: each ``{name}`` key of ``fields`` is replaced by its text,
-    then the ``%.17g`` fields take ``numbers`` (an array) in row order.
-    The numbers of consecutive blocks are formatted together by
-    `floatfmt.format_g17`, up to ``floatfmt.CHUNK`` at a time.
+    ``columns`` gives each CSV column as an integer or float array, or
+    None for a field left empty.  The arrays broadcast to one (B, P) shape,
+    whose rows are written block by block: a (B, 1) column (a draw or row
+    index) repeats along its block, a (1, P) one (the times, a column
+    index) in every block.
+
+    Integer columns and repeated float columns are formatted once, whole
+    (``%d``, `floatfmt.format_g17`).  The (B, P) float columns are
+    formatted together, a chunk of rows at a time, at most
+    ``floatfmt.CHUNK`` values per chunk.  Each chunk is laid out as one
+    uint8 array of fixed-width fields (NUL-padded texts), commas and
+    newlines, and then its NUL bytes are dropped.  A block longer than a
+    chunk is split.
     """
     import numpy as np
 
-    from .floatfmt import CHUNK, format_g17
+    from .floatfmt import CHUNK, WIDTH, format_g17
 
-    pattern = template.replace(_FLOAT_FMT, "%s").encode()
+    columns = [None if c is None else np.atleast_2d(c) for c in columns]
+    blocks, size = np.broadcast_shapes(*(c.shape for c in columns if c is not None))
 
-    def flush(pending):
-        texts = format_g17(np.concatenate([numbers.ravel() for _, numbers in pending]))
-        at = 0
-        for fields, numbers in pending:
-            text = pattern
-            for name, value in fields.items():
-                text = text.replace(name.encode(), value.encode())
-            yield text % tuple(texts[at : at + numbers.size].tolist())
-            at += numbers.size
+    def texts(values):  # byte strings no wider than the longest text
+        text = values.astype(bytes) if values.dtype.kind in "iu" else format_g17(values)
+        longest = np.count_nonzero(text.view(np.uint8).reshape(-1, text.itemsize).any(axis=0))
+        return text.astype(f"S{longest or 1}").reshape(values.shape)  # no S0 dtype
+
+    floats, fields, at = [], [], 0  # fields: (first byte, width, texts or place among floats)
+    for c in columns:
+        if c is None:
+            width = 0
+        elif c.shape == (blocks, size) and c.dtype.kind not in "iu":
+            width = WIDTH
+            fields.append((at, width, len(floats)))
+            floats.append(c)
+        else:
+            text = texts(c)
+            width = text.itemsize
+            fields.append((at, width, text))
+        at += width + 1  # and a comma, or the newline
+    rows = CHUNK // max(1, len(floats))  # lines per chunk
+    step = max(1, rows // max(size, 1))  # whole blocks per chunk, else one block split
+    # every chunk overwrites each field's bytes whole, so the commas stay
+    buf = np.full((min(step, blocks) * min(size, rows), at), ord(","), np.uint8)
+    buf[:, -1] = ord("\n")
+    keep = np.empty(buf.shape, bool)
+
+    def chunk(b, p):  # the lines of rows p in blocks b
+        shape = (len(range(blocks)[b]), len(range(size)[p]))
+        if floats:
+            values = np.stack([c[b, p] for c in floats])
+            formatted = format_g17(values).reshape(values.shape)
+        for first, width, text in fields:
+            slot = np.ndarray(shape, f"S{width}", buf, first, (shape[1] * at, at))
+            if isinstance(text, int):
+                slot[...] = formatted[text]
+            else:
+                slot[...] = text[b if text.shape[0] > 1 else slice(None), p if text.shape[1] > 1 else slice(None)]
+        lines = buf[: shape[0] * shape[1]]
+        return lines[np.not_equal(lines, 0, out=keep[: len(lines)])]
 
     def body():
-        pending, size = [], 0
-        for fields, numbers in blocks:
-            if pending and size + numbers.size > CHUNK:
-                yield from flush(pending)
-                pending, size = [], 0
-            pending.append((fields, numbers))
-            size += numbers.size
-        if pending:
-            yield from flush(pending)
+        for first in range(0, blocks, step):
+            for start in range(0, size, rows):
+                yield chunk(slice(first, first + step), slice(start, start + rows))
 
-    head = f"# dckernel {command} config={cfg_hash}\n{','.join(columns)}\n"
+    head = f"# dckernel {command} config={cfg_hash}\n{','.join(header)}\n"
     _write_atomic(path, itertools.chain((head.encode(),), body()))
 
 
 def _json_text(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _finite(value) -> bool:
+    """Is ``value`` a JSON number (not a boolean) within the float range?
+
+    Compared, not converted, so a huge integer fails instead of overflowing.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    )
 
 
 def _integer(value, key: str, minimum: int) -> int:
@@ -203,16 +242,26 @@ def _integer(value, key: str, minimum: int) -> int:
     Integral floats such as 1e5 pass; strings, booleans, non-finite and
     fractional numbers do not.
     """
-    valid = (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value == int(value)
-        and value >= minimum
-    )
-    if not valid:
+    if not (_finite(value) and value == int(value) and value >= minimum):
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _real(value, key: str) -> float:
+    """``value`` as a finite float; anything else is a ConfigError naming ``key``.
+
+    Integers pass; strings, booleans, infinities and NaN do not.
+    """
+    if not _finite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(values, key: str) -> list:
+    """A JSON list of finite numbers, each checked by `_real`."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return [_real(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
 def _build_kernel(cfg: dict):
@@ -237,7 +286,7 @@ def _build_kernel(cfg: dict):
             f"kernel.variant {variant!r} needs exactly {sorted(want) or 'no'} "
             f"hyperparameters, got {sorted(given) or 'none'}"
         )
-    return kernels.KernelSpec(variant, **{k: block[k] for k in params})
+    return kernels.KernelSpec(variant, **{k: _real(block[k], f"kernel.{k}") for k in params})
 
 
 def _halfline_kernel(cfg: dict, command: str):
@@ -250,7 +299,11 @@ def _halfline_kernel(cfg: dict, command: str):
 def _build_quadrature(cfg: dict):
     from .quadrature import QuadratureConfig
 
-    return QuadratureConfig(**cfg["quadrature"])
+    block = cfg["quadrature"]
+    return QuadratureConfig(
+        **{k: _integer(block[k], f"quadrature.{k}", 1) for k in ("panels", "nodes", "graded_panels", "max_extensions")},
+        **{k: _real(block[k], f"quadrature.{k}") for k in ("grading_ratio", "rel_tol")},
+    )
 
 
 def _linspace_grid(block: dict, key: str):
@@ -259,7 +312,8 @@ def _linspace_grid(block: dict, key: str):
     from .grids import halfline_grid
 
     num = _integer(block["num"], f"{key}.num", 1)
-    return halfline_grid(np.linspace(block["start"], block["stop"], num))
+    start, stop = (_real(block[k], f"{key}.{k}") for k in ("start", "stop"))
+    return halfline_grid(np.linspace(start, stop, num))
 
 
 def _read_dataset_csv(path: str):
@@ -306,13 +360,16 @@ def _build_input(cfg: dict, times, u_column):
     if kind == "impulse":
         return est.ImpulseInput()
     if kind == "step":
-        return est.StepInput(block["amplitude"])
+        return est.StepInput(_real(block["amplitude"], "estimation.input.amplitude"))
     if kind == "expsum":
         if block["amplitudes"] is None or block["rates"] is None:
             raise ConfigError(
                 "estimation.input.kind 'expsum' needs amplitudes and rates"
             )
-        return est.ExpSumInput(block["amplitudes"], block["rates"])
+        return est.ExpSumInput(
+            _reals(block["amplitudes"], "estimation.input.amplitudes"),
+            _reals(block["rates"], "estimation.input.rates"),
+        )
     if kind == "data":
         if u_column is None:
             raise ConfigError(
@@ -329,20 +386,21 @@ def _cmd_estimate(cfg: dict, args) -> int:
 
     if args.data is None:
         raise ConfigError("estimate needs --data pointing at a CSV file")
-    num = _integer(cfg["estimation"]["eval_points"], "estimation.eval_points", 2)
+    block = cfg["estimation"]
+    num = _integer(block["eval_points"], "estimation.eval_points", 2)
+    noise = _real(block["noise_variance"], "estimation.noise_variance")
+    gamma, grid, end = block["gamma"], block["gamma_grid"], block["eval_end"]
+    gamma = None if gamma is None else _real(gamma, "estimation.gamma")
+    grid = None if grid is None else _reals(grid, "estimation.gamma_grid")
+    end = None if end is None else _real(end, "estimation.eval_end")
     times, outputs, u_column = _read_dataset_csv(args.data)
     spec = _build_kernel(cfg)
     signal = _build_input(cfg, times, u_column)
-    dataset = est.Dataset(
-        np.array(times), np.array(outputs), signal, cfg["estimation"]["noise_variance"]
-    )
-    fit = est.estimate(
-        spec, dataset, cfg["estimation"]["gamma"], cfg["estimation"]["gamma_grid"]
-    )
+    dataset = est.Dataset(np.array(times), np.array(outputs), signal, noise)
+    fit = est.estimate(spec, dataset, gamma, grid)
     search = fit.search
 
-    end = cfg["estimation"]["eval_end"]
-    end = float(times[-1]) if end is None else float(end)
+    end = float(times[-1]) if end is None else end
     eval_grid = np.linspace(0.0, end, num)
     g_hat = est.reconstruct(fit, eval_grid)
     cfg_hash = config_hash(cfg)
@@ -351,8 +409,7 @@ def _cmd_estimate(cfg: dict, args) -> int:
         "estimate",
         cfg_hash,
         ("time", "g_hat"),
-        f"{_FLOAT_FMT},{_FLOAT_FMT}\n" * num,
-        [({}, np.column_stack((eval_grid, g_hat)))],
+        (eval_grid, g_hat),
     )
 
     fitted = fit.fitted_outputs()
@@ -390,6 +447,10 @@ def _cmd_verify(cfg: dict, args) -> int:
     seed = _integer(cfg["verify"]["seed"], "verify.seed", 0)
     mc_count = _integer(cfg["verify"]["mc_count"], "verify.mc_count", 2)
     sections = cfg["verify"]["sections"]
+    if sections is not None and not (
+        isinstance(sections, list) and all(isinstance(s, str) for s in sections)
+    ):
+        raise ConfigError(f"verify.sections must be a list of strings, got {sections!r}")
     if sections is not None:
         known = {name for name, _ in verification.SECTIONS}
         unknown = [s for s in sections if s not in known]
@@ -424,6 +485,8 @@ def _cmd_verify(cfg: dict, args) -> int:
 
 
 def _cmd_sample(cfg: dict, args) -> int:
+    import numpy as np
+
     from . import maxent
 
     spec = _halfline_kernel(cfg, "sample")
@@ -441,8 +504,7 @@ def _cmd_sample(cfg: dict, args) -> int:
         "sample",
         config_hash(cfg),
         ("draw", "time", "value"),
-        "".join(f"{{draw}},{_FLOAT_FMT % t},{_FLOAT_FMT}\n" for t in grid.points.tolist()),
-        (({"{draw}": str(draw)}, row) for draw, row in enumerate(values)),
+        (np.arange(count)[:, None], grid.points[None, :], values),
     )
     if args.verbose:
         print(f"sample: {count} draws on {grid.n} points")
@@ -465,20 +527,13 @@ def _cmd_expand(cfg: dict, args) -> int:
     partial = mercer.expansion_grid(system, pts, pts)
     exact = kernels.eval_kernel(spec, pts[:, None], pts[None, :])
     error = np.abs(partial - exact)
-    coords = [_FLOAT_FMT % x for x in pts.tolist()]
+    index = np.arange(num)
     _write_csv(
         os.path.join(args.out, "expansion.csv"),
         "expand",
         config_hash(cfg),
         ("row", "col", "x", "y", "truncated", "exact", "abs_error"),
-        "".join(
-            f"{{row}},{j},{{x}},{y},{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}\n"
-            for j, y in enumerate(coords)
-        ),
-        (
-            ({"{row}": str(i), "{x}": x}, np.column_stack((partial[i], exact[i], error[i])))
-            for i, x in enumerate(coords)
-        ),
+        (index[:, None], index[None, :], pts[:, None], pts[None, :], partial, exact, error),
     )
     if args.verbose:
         print(f"expand: sup error {float(error.max()):.6e} at {truncation} terms")
@@ -491,7 +546,7 @@ def _cmd_norm(cfg: dict, args) -> int:
     from . import kernels, mercer, rkhs
 
     spec = _halfline_kernel(cfg, "norm")
-    gamma = float(cfg["norm"]["gamma"])
+    gamma = _real(cfg["norm"]["gamma"], "norm.gamma")
     verdict = rkhs.membership_necessary_check(gamma, spec)
     if verdict is rkhs.MembershipVerdict.FAILS_NECESSARY:
         raise ConfigError(
@@ -507,18 +562,17 @@ def _cmd_norm(cfg: dict, args) -> int:
     alpha, beta, _ = kernels.stable_params(spec)
     closed = rkhs.exp_norm_closed_form(gamma, alpha, beta)
     truncation = cfg["norm"]["truncation"]
-    series = []  # the series field stays empty without a truncation
+    series = None  # the series field stays empty without a truncation
     if truncation is not None:
         truncation = _integer(truncation, "norm.truncation", 1)
         system = mercer.EigenSystem(spec, truncation=truncation)
-        series = [rkhs.dc_norm_series(handle, system, quad=quad)[0]]
+        series = np.float64(rkhs.dc_norm_series(handle, system, quad=quad)[0])
     _write_csv(
         os.path.join(args.out, "norm.csv"),
         "norm",
         config_hash(cfg),
         ("gamma", "norm_sq_quadrature", "norm_sq_series", "norm_sq_closed_form"),
-        f"{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT if series else ''},{_FLOAT_FMT}\n",
-        [({}, np.array([gamma, quad_value, *series, closed]))],
+        (np.float64(gamma), np.float64(quad_value), series, np.float64(closed)),
     )
     if args.verbose:
         print(f"norm: quadrature {quad_value:.12g}, closed form {closed:.12g}")
@@ -541,8 +595,7 @@ def _cmd_tridiag(cfg: dict, args) -> int:
         "tridiag",
         cfg_hash,
         ("row", "col", "kernel_value", "inverse_value"),
-        "".join(f"{{row}},{j},{_FLOAT_FMT},{_FLOAT_FMT}\n" for j in range(grid.n)),
-        (({"{row}": str(i)}, np.column_stack((gram[i], inverse[i]))) for i in range(grid.n)),
+        (np.arange(grid.n)[:, None], np.arange(grid.n)[None, :], gram, inverse),
     )
     # how far a generic dense inversion strays from the tridiagonal band,
     # as heatmap-free summary numbers
@@ -553,8 +606,7 @@ def _cmd_tridiag(cfg: dict, args) -> int:
         "tridiag",
         cfg_hash,
         ("dense_offband_rel", "identity_residual"),
-        f"{_FLOAT_FMT},{_FLOAT_FMT}\n",
-        [({}, np.array([off_rel, residual]))],
+        (np.float64(off_rel), np.float64(residual)),
     )
     if args.verbose:
         print(f"tridiag: identity residual {residual:.3e}")

@@ -148,21 +148,24 @@ def _layout(x, digits, k):
     quads, trailing = tab["quads"], tab["trailing"]
     upper = digits // 10**8
     first = upper // 10**8
-    halves = np.stack((upper - first * 10**8, digits - upper * 10**8))
-    groups = np.empty((4, x.size), np.intp)  # four groups of four digits
-    groups[0::2] = halves // 10**4
-    groups[1::2] = halves - groups[0::2] * 10**4
+    # four groups of four digits, as separate arrays: writing and reading
+    # them as strided rows of one (4, n) array costs a fifth of the format
+    groups = []
+    for half in (upper - first * 10**8, digits - upper * 10**8):
+        quotient = half // 10**4
+        groups += [quotient, half - quotient * 10**4]
     count = 17 - trailing[groups[3]]  # significant digits
     for j in (2, 1, 0):  # a group of zeros carries the run into the one above
         run = np.flatnonzero(count == 4 * j + 5)
-        count[run] -= trailing[groups[j, run]]
+        count[run] -= trailing[groups[j][run]]
 
     # bytes 7..23 of a row led by seven '0' bytes hold the digits; the text
     # is its window from byte 7 - lead - sign, with the point and sign put in
     row = np.empty((3, x.size), np.uint64)
     row[0] = ((first.astype(np.uint64) + np.uint64(ord("0"))) << np.uint64(56)) | np.uint64(_ZEROS)
-    row[1:] = quads[groups[0::2]] | (quads[groups[1::2]] << np.uint64(32))
-    del groups, halves
+    row[1] = quads[groups[0]] | (quads[groups[1]] << np.uint64(32))
+    row[2] = quads[groups[2]] | (quads[groups[3]] << np.uint64(32))
+    del groups
     sign = np.signbit(x)
     case = (sign * _SPAN + np.clip(k, _K_MIN, _K_MAX) - _K_MIN) * 17 + count - 1
     right = tab["right"][case]
@@ -176,20 +179,19 @@ def _layout(x, digits, k):
     shifted &= np.take(moved, case, axis=1)
     word |= shifted
     word |= np.take(chars, case, axis=1)
-    words = np.ascontiguousarray(word.T, dtype="<u8")
-    text = words.view(np.uint8)
 
     sci = np.flatnonzero((k <= _K_MIN) | (k >= _K_MAX))
-    if sci.size:  # e, the exponent's sign, then 2 or 3 of its 4-digit text
+    if sci.size:  # e, the exponent's sign, then 2 or 3 of its 4-digit text, as one word
         power = k[sci]
-        exponent = quads[np.abs(power)].astype("<u4").view(np.uint8).reshape(-1, 4)
-        wide = np.abs(power) >= 100
-        suffix = np.zeros((sci.size, 5), np.uint8)
-        suffix[:, 0] = ord("e")
-        suffix[:, 1] = np.where(power < 0, ord("-"), ord("+"))
-        suffix[:, 2:4] = np.where(wide[:, None], exponent[:, 1:3], exponent[:, 2:4])
-        suffix[:, 4] = np.where(wide, exponent[:, 3], 0)
-        text[sci[:, None], tab["length"][case[sci], None] + np.arange(5)] = suffix
+        exponent = quads[np.abs(power)]  # byte j holds the j-th of 4 digits
+        suffix = np.where(power < 0, ord("e") | ord("-") << 8, ord("e") | ord("+") << 8).astype(np.uint64)
+        suffix |= np.where(np.abs(power) >= 100, exponent >> np.uint64(8), exponent >> np.uint64(16)) << np.uint64(16)
+        at = tab["length"][case[sci]]  # the suffix's first byte: word at // 8, bit 8 (at % 8)
+        bit = ((at & 7) << 3).astype(np.uint64)
+        word[at >> 3, sci] |= suffix << bit
+        word[np.minimum((at >> 3) + 1, 2), sci] |= suffix >> (np.uint64(64) - bit)
+    words = np.ascontiguousarray(word.T, dtype="<u8")
+    text = words.view(np.uint8)
 
     zeros = np.flatnonzero(x == 0.0)
     if zeros.size:
@@ -212,11 +214,13 @@ def format_g17(values) -> np.ndarray:
     ``tolist`` strips.
     """
     flat = np.ravel(np.asarray(values, dtype=np.float64))
-    out = np.empty(flat.size, f"S{WIDTH}")
+    chunks = []
     for start in range(0, flat.size, CHUNK):
         part = flat[start : start + CHUNK]
         texts, fallback = _texts(part)
         for i in np.flatnonzero(fallback).tolist():
             texts[i] = b"%.17g" % float(part[i])
-        out[start : start + part.size] = texts
-    return out
+        chunks.append(texts)
+    if len(chunks) == 1:
+        return chunks[0]  # no copy for the common case of one chunk
+    return np.concatenate(chunks) if chunks else np.empty(0, f"S{WIDTH}")

@@ -178,10 +178,11 @@ def _running_sums(decay, b):
     n, rest = b.shape[0], b.shape[1:]
     size = math.isqrt(n - 1) + 1
     count = -(-n // size)
-    pad = ((0, count * size - n),) + ((0, 0),) * len(rest)
 
     def split(x):  # (size, count, ...), contiguous: each step reads one block of memory
-        return np.ascontiguousarray(np.pad(x, pad).reshape((count, size) + rest).swapaxes(0, 1))
+        padded = np.zeros((count * size,) + rest)
+        padded[:n] = x
+        return np.ascontiguousarray(padded.reshape((count, size) + rest).swapaxes(0, 1))
 
     f, a = split(b), split(np.broadcast_to(decay, b.shape))
     for j in range(1, size):
@@ -192,6 +193,37 @@ def _running_sums(decay, b):
         last[c] += a[-1, c] * last[c - 1]
     f[:, 1:] += a[:, 1:] * last[:-1]
     return f.swapaxes(0, 1).reshape((count * size,) + rest)[:n]
+
+
+def _columns(a):
+    """The columns ``a[..., k:k+1]`` of a stack of r x r matrices, for `_times`."""
+    return [a[..., k : k + 1] for k in range(a.shape[-1])]
+
+
+def _times(columns, b):
+    """a @ b for a stack given by its `_columns`, as multiply-adds over k in order.
+
+    ``@`` sends a stack through BLAS or not by its memory layout, and BLAS
+    fuses multiply-adds, so a gamma's row of a grid would not equal its
+    scalar solve bit for bit.  Products and sums rounded one at a time do
+    not depend on the stack's width.
+    """
+    if len(columns) == 1:
+        return columns[0] * b
+    return columns[0] * b[..., :1, :] + columns[1] * b[..., 1:, :]
+
+
+_ADJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _small_inverse(m):
+    """Determinants, traces and inverses of a stack of 1 x 1 or 2 x 2 matrices, by formula."""
+    if m.shape[-1] == 1:
+        return m[:, 0, 0], m[:, 0, 0], 1.0 / m
+    flat = m.reshape(-1, 4)
+    det = flat[:, 0] * flat[:, 3] - flat[:, 1] * flat[:, 2]
+    adjugate = flat[:, [3, 1, 2, 0]] * _ADJUGATE_SIGNS
+    return det, flat[:, 0] + flat[:, 3], adjugate.reshape(m.shape) / det[:, None, None]
 
 
 class QuasiseparableGram:
@@ -387,7 +419,7 @@ class QuasiseparableGram:
         # for z = L^{-1} [U, X]; moving to t_i scales T[k, l] by decay[i, k] decay[i, l],
         # the bordered columns by decay[i, k] alone
         decay = blocked(self.decay)[..., None, :]
-        bordered = np.pad(self.decay, ((0, 0), (0, 2 * r)), constant_values=1.0)
+        bordered = np.concatenate([self.decay, np.ones((n, 2 * r))], axis=1)
         carry = blocked(self.decay[:, :, None] * bordered[:, None, :])[..., None, :]
         shared = np.repeat(np.column_stack([self.scaled, U])[:, :, None], width, axis=2)
         rhs = blocked(np.concatenate([shared, X.transpose(0, 2, 1)], axis=1))
@@ -413,20 +445,28 @@ class QuasiseparableGram:
             unexplained = self._state_covariance(lasts)[:, None] * warm
             unexplained -= T[:, :r].transpose(3, 2, 0, 1)
             eye = np.eye(r)
-            C, steps = np.zeros((width, r, r)), []
-            for W, P, D, N in zip(Q[..., :r], Q[..., r:], across, unexplained):
-                M = eye + W @ C
+            W = Q[..., :r]
+            E = eye * across[:, None, None, :] - Q[..., r:]
+            Hs, inverses, C = [], [], np.zeros((width, r, r))
+            for W_b, Et_b, E_b, N in zip(zip(*_columns(W)), zip(*_columns(E.swapaxes(2, 3))), E, unexplained):
+                M = eye + _times(W_b, C)
                 # W >= 0 and C symmetric: eigenvalues of W C are real, all above -1
                 # iff I + W C has positive trace and determinant (r <= 2)
-                good = (np.linalg.det(M) > 0.0) & (np.trace(M, axis1=1, axis2=2) > 0.0)
-                bad |= ~good
-                inverse = np.linalg.inv(np.where(good[:, None, None], M, eye))
-                H = C @ inverse
-                E = eye * D - P
-                steps.append((W, H, H @ E, inverse, E))
-                C = E.swapaxes(1, 2) @ H @ E + N
+                det, trace, inverse = _small_inverse(M)
+                good = (det > 0.0) & (trace > 0.0)
+                if not good.all():
+                    bad |= ~good
+                    inverse[~good] = eye
+                H = _times(_columns(C), inverse)
+                Hs.append(H)
+                inverses.append(inverse)
+                C = _times(_columns(_times(Et_b, H)), E_b) + N
         if bad.any():
             raise _not_positive_definite(gammas[np.argmax(bad)])
+        H, inverse = np.stack(Hs), np.stack(inverses)
+        HE = _columns(_times(_columns(H), E))
+        # per block, the columns of W, H, E', (I + W C)^{-1} and E
+        steps = list(zip(*(zip(*_columns(a)) for a in (W, H, E.swapaxes(2, 3), inverse, E))))
         gen, zU, zX = row[:, :r], row[:, r : 2 * r], row[:, 2 * r :]
         lower = gen / pivot[:, None]  # L's generators over its diagonal
 
@@ -442,19 +482,20 @@ class QuasiseparableGram:
                 q += zU[j] * z
                 s += zX[j] * z
                 zy[j] = z
-            mean, states = np.zeros((width, r, 1)), []
-            for (W, H, HE, inverse, E), q_b, s_b in zip(steps, q.T[..., None], s.T[..., None]):
-                zeta = q_b - W @ mean
-                post = mean + H @ zeta
-                states.append((post, zeta))
-                mean = E.swapaxes(1, 2) @ post + s_b
-            coef_u, coef_x = np.empty((count, width, r)), np.empty((count, width, r))
-            a = np.zeros((width, r, 1))
+            mean, posts, zetas = np.zeros((width, r, 1)), [], []
+            for (W_b, H_b, Et_b, _, _), q_b, s_b in zip(steps, q.T[..., None], s.T[..., None]):
+                zeta = q_b - _times(W_b, mean)
+                post = mean + _times(H_b, zeta)
+                posts.append(post)
+                zetas.append(zeta)
+                mean = _times(Et_b, post) + s_b
+            a, ahead_of = np.zeros((width, r, 1)), [None] * count
             for b in range(count - 1, -1, -1):
-                HE, inverse, E = steps[b][2:]
-                post, zeta = states[b]
-                coef_u[b], coef_x[b] = -(post + HE @ a)[..., 0], -a[..., 0]
-                a = inverse @ (E @ a + zeta)
+                ahead_of[b] = a
+                _, _, _, inverse_b, E_b = steps[b]
+                a = _times(inverse_b, _times(E_b, a) + zetas[b])
+            a = np.stack(ahead_of)
+            coef_u, coef_x = -(np.stack(posts) + _times(HE, a))[..., 0], -a[..., 0]
             combined = zy + add(zU * coef_u.T, axis=1) + add(zX * coef_x.T, axis=1)
             combined /= pivot
             c, ahead = np.empty((size, width, count)), np.zeros((r, width, count))

@@ -11,6 +11,7 @@ import pytest
 
 from dckernel import cli, estimator, kernelmat, kernels, maxent, mercer, verification
 from dckernel.errors import ConfigError
+from dckernel.floatfmt import CHUNK
 
 
 def write_json(path, payload):
@@ -362,7 +363,7 @@ def test_tc_is_dc_at_equal_rates(tmp_path):
         assert outputs["tc"] == outputs["dc"], command
 
 
-BAD_INTEGERS = ('"abc"', "NaN", "1e400", "true", "2.5")
+BAD_INTEGERS = ('"abc"', "NaN", "1e400", "true", "2.5", "1" + "0" * 400)
 
 
 @pytest.mark.parametrize("text", BAD_INTEGERS)
@@ -377,6 +378,8 @@ BAD_INTEGERS = ('"abc"', "NaN", "1e400", "true", "2.5")
         ("sample", "sampling.grid.num", '{"sampling": {"grid": {"num": %s}}}'),
         ("tridiag", "tridiag.grid.num", '{"tridiag": {"grid": {"num": %s}}}'),
         ("norm", "norm.truncation", '{"norm": {"truncation": %s}}'),
+        ("norm", "quadrature.panels", '{"quadrature": {"panels": %s}}'),
+        ("tridiag", "quadrature.max_extensions", '{"quadrature": {"max_extensions": %s}}'),
     ],
 )
 def test_integer_settings_name_the_key(tmp_path, capsys, monkeypatch, command, key, block, text):
@@ -395,6 +398,46 @@ def test_integer_settings_name_the_key(tmp_path, capsys, monkeypatch, command, k
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be an integer")
+
+
+BAD_REALS = ('"abc"', "NaN", "1e400", "-Infinity", "true", "[1.0]", "-1" + "0" * 400)
+
+
+@pytest.mark.parametrize("text", BAD_REALS)
+@pytest.mark.parametrize(
+    "command,key,block",
+    [
+        ("estimate", "estimation.gamma", '{"estimation": {"gamma": %s}}'),
+        ("estimate", "estimation.gamma_grid[1]", '{"estimation": {"gamma_grid": [0.01, %s]}}'),
+        ("estimate", "estimation.noise_variance", '{"estimation": {"noise_variance": %s}}'),
+        ("estimate", "estimation.eval_end", '{"estimation": {"eval_end": %s}}'),
+        ("sample", "sampling.grid.stop", '{"sampling": {"grid": {"stop": %s}}}'),
+        ("tridiag", "tridiag.grid.start", '{"tridiag": {"grid": {"start": %s}}}'),
+        ("norm", "norm.gamma", '{"norm": {"gamma": %s}}'),
+        ("norm", "quadrature.rel_tol", '{"quadrature": {"rel_tol": %s}}'),
+        ("verify", "quadrature.grading_ratio", '{"quadrature": {"grading_ratio": %s}}'),
+        ("tridiag", "kernel.beta", '{"kernel": {"beta": %s}}'),
+    ],
+)
+def test_real_settings_name_the_key(tmp_path, capsys, monkeypatch, command, key, block, text):
+    monkeypatch.setattr(estimator, "estimate", lambda *a, **k: pytest.fail("fit before checks"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(block % text)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "estimate":
+        argv += ["--data", impulse_fixture(tmp_path / "data.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be a finite number")
+    assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
+
+def test_verify_sections_must_be_a_list_of_names(tmp_path, capsys):
+    for sections in ('"maxent"', "[1]", '{"a": 1}'):
+        cfg = write_json(tmp_path / "cfg.json", {})
+        (tmp_path / "cfg.json").write_text('{"verify": {"sections": %s}}' % sections)
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "verify.sections must be a list of strings" in err or "must not be an object" in err
 
 
 def test_expand_integer_settings(tmp_path, capsys):
@@ -439,17 +482,11 @@ def test_csv_writer_matches_oracle(tmp_path):
     # index and a coordinate that repeat across blocks, and two number fields
     coords = np.array(EDGE_FLOATS)
     values = np.array([EDGE_FLOATS, EDGE_FLOATS[::-1], [-x for x in EDGE_FLOATS]])
-    template = "".join(
-        f"{{row}},{j},{cli._FLOAT_FMT % x},{cli._FLOAT_FMT},{cli._FLOAT_FMT}\n"
-        for j, x in enumerate(coords.tolist())
-    )
-    blocks = (
-        ({"{row}": str(i)}, np.column_stack((row, row[::-1])))
-        for i, row in enumerate(values)
-    )
-    path = tmp_path / "edge.csv"
+    index = np.arange(coords.size)
     columns = ("row", "col", "x", "a", "b")
-    cli._write_csv(str(path), "edge", "0123456789ab", columns, template, blocks)
+    arrays = (np.arange(3)[:, None], index[None, :], coords[None, :], values, values[:, ::-1])
+    path = tmp_path / "edge.csv"
+    cli._write_csv(str(path), "edge", "0123456789ab", columns, arrays)
     rows = [
         (i, j, float(coords[j]), float(values[i, j]), float(values[i, -1 - j]))
         for i in range(values.shape[0])
@@ -457,9 +494,62 @@ def test_csv_writer_matches_oracle(tmp_path):
     ]
     assert path.read_bytes() == oracle_csv("edge", "0123456789ab", columns, rows)
 
-    # no blocks at all: the two header lines only
-    cli._write_csv(str(path), "edge", "0123456789ab", columns, template, [])
+    # no rows at all: the two header lines only
+    empty = (np.arange(0)[:, None], index[None, :], coords[None, :], values[:0], values[:0])
+    cli._write_csv(str(path), "edge", "0123456789ab", columns, empty)
     assert path.read_bytes() == oracle_csv("edge", "0123456789ab", columns, [])
+
+
+def _written(tmp_path, columns):
+    path = tmp_path / "columns.csv"
+    cli._write_csv(str(path), "cols", "0123456789ab", [f"c{i}" for i in range(len(columns))], columns)
+    return path.read_bytes()
+
+
+def _expected(columns):
+    """The oracle's bytes for the rows of columns broadcast to (B, P)."""
+    arrays = [c if c is None else np.atleast_2d(c) for c in columns]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays if a is not None))
+    cells = [
+        [None] * (shape[0] * shape[1]) if a is None else np.broadcast_to(a, shape).ravel().tolist()
+        for a in arrays
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    return oracle_csv("cols", "0123456789ab", header, list(zip(*cells)))
+
+
+def test_csv_writer_column_shapes_match_oracle(tmp_path):
+    rng = np.random.default_rng(11)
+    tiny = rng.normal(size=(4, 6)) * 10.0 ** rng.integers(-300, -5, (4, 6))
+    huge = rng.normal(size=(4, 6)) * 10.0 ** rng.integers(17, 300, (4, 6))
+    cases = [
+        # every float e-style, among repeated integer columns
+        (np.arange(4)[:, None], tiny, np.arange(6)[None, :] * 1000, huge),
+        # (B, 1), (1, P) and (B, P) floats mixed, a scalar and an empty field
+        (rng.normal(size=(4, 1)), None, rng.normal(size=(1, 6)), rng.normal(size=(4, 6)), np.float64(0.5)),
+        # one row of scalars with the empty field last, as norm.csv without its series
+        (np.float64(1.3), np.float64(-2e-7), None),
+        # one block of floats given as a 1-D array, as estimate.csv
+        (np.linspace(0.0, 1.0, 7), np.exp(-np.linspace(0.0, 1.0, 7))),
+        # zero rows
+        (np.arange(0)[:, None], np.arange(5)[None, :], np.zeros((0, 5))),
+    ]
+    for columns in cases:
+        assert _written(tmp_path, columns) == _expected(columns)
+
+
+# P = 3001 does not divide CHUNK, so chunks end inside the file's blocks'
+# span; the longer blocks are split into pieces of CHUNK rows
+@pytest.mark.parametrize("blocks,size", [(7, 3001), (2, CHUNK + 37), (1, 2 * CHUNK + 5)])
+def test_csv_writer_splits_chunks_like_oracle(tmp_path, blocks, size):
+    rng = np.random.default_rng(blocks)
+    columns = (
+        np.arange(blocks)[:, None],
+        np.linspace(0.0, 3.0, size)[None, :],
+        rng.normal(size=(blocks, size)),
+        None,
+    )
+    assert _written(tmp_path, columns) == _expected(columns)
 
 
 @pytest.mark.parametrize("count,num", [(3, 5), (0, 25), (4, 1)])
