@@ -447,11 +447,9 @@ def _cmd_verify(cfg: dict, args) -> int:
     seed = _integer(cfg["verify"]["seed"], "verify.seed", 0)
     mc_count = _integer(cfg["verify"]["mc_count"], "verify.mc_count", 2)
     sections = cfg["verify"]["sections"]
-    if sections is not None and not (
-        isinstance(sections, list) and all(isinstance(s, str) for s in sections)
-    ):
-        raise ConfigError(f"verify.sections must be a list of strings, got {sections!r}")
     if sections is not None:
+        if not (isinstance(sections, list) and all(isinstance(s, str) for s in sections)):
+            raise ConfigError(f"verify.sections must be a list of strings, got {sections!r}")
         known = {name for name, _ in verification.SECTIONS}
         unknown = [s for s in sections if s not in known]
         if unknown:
@@ -566,13 +564,13 @@ def _cmd_norm(cfg: dict, args) -> int:
     if truncation is not None:
         truncation = _integer(truncation, "norm.truncation", 1)
         system = mercer.EigenSystem(spec, truncation=truncation)
-        series = np.float64(rkhs.dc_norm_series(handle, system, quad=quad)[0])
+        series = rkhs.dc_norm_series(handle, system, quad=quad)[0]
     _write_csv(
         os.path.join(args.out, "norm.csv"),
         "norm",
         config_hash(cfg),
         ("gamma", "norm_sq_quadrature", "norm_sq_series", "norm_sq_closed_form"),
-        (np.float64(gamma), np.float64(quad_value), series, np.float64(closed)),
+        (gamma, quad_value, series, closed),
     )
     if args.verbose:
         print(f"norm: quadrature {quad_value:.12g}, closed form {closed:.12g}")
@@ -606,7 +604,7 @@ def _cmd_tridiag(cfg: dict, args) -> int:
         "tridiag",
         cfg_hash,
         ("dense_offband_rel", "identity_residual"),
-        (np.float64(off_rel), np.float64(residual)),
+        (off_rel, residual),
     )
     if args.verbose:
         print(f"tridiag: identity residual {residual:.3e}")

@@ -432,12 +432,10 @@ def test_real_settings_name_the_key(tmp_path, capsys, monkeypatch, command, key,
 
 
 def test_verify_sections_must_be_a_list_of_names(tmp_path, capsys):
-    for sections in ('"maxent"', "[1]", '{"a": 1}'):
-        cfg = write_json(tmp_path / "cfg.json", {})
-        (tmp_path / "cfg.json").write_text('{"verify": {"sections": %s}}' % sections)
+    for sections in ("maxent", [1]):
+        cfg = write_json(tmp_path / "cfg.json", {"verify": {"sections": sections}})
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "verify.sections must be a list of strings" in err or "must not be an object" in err
+        assert "verify.sections must be a list of strings" in capsys.readouterr().err
 
 
 def test_expand_integer_settings(tmp_path, capsys):
@@ -538,8 +536,8 @@ def test_csv_writer_column_shapes_match_oracle(tmp_path):
         assert _written(tmp_path, columns) == _expected(columns)
 
 
-# P = 3001 does not divide CHUNK, so chunks end inside the file's blocks'
-# span; the longer blocks are split into pieces of CHUNK rows
+# two blocks of 3001 rows fill a chunk, so chunk edges fall at no multiple
+# of CHUNK; blocks longer than CHUNK rows are split across chunks
 @pytest.mark.parametrize("blocks,size", [(7, 3001), (2, CHUNK + 37), (1, 2 * CHUNK + 5)])
 def test_csv_writer_splits_chunks_like_oracle(tmp_path, blocks, size):
     rng = np.random.default_rng(blocks)
