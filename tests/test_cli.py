@@ -537,8 +537,9 @@ def test_csv_writer_column_shapes_match_oracle(tmp_path):
 
 
 # two blocks of 3001 rows fill a chunk, so chunk edges fall at no multiple
-# of CHUNK; blocks longer than CHUNK rows are split across chunks
-@pytest.mark.parametrize("blocks,size", [(7, 3001), (2, CHUNK + 37), (1, 2 * CHUNK + 5)])
+# of CHUNK, and 11 blocks of 1500 leave the last chunk part-full; blocks
+# longer than CHUNK rows are split across chunks
+@pytest.mark.parametrize("blocks,size", [(7, 3001), (11, 1500), (2, CHUNK + 37), (1, 2 * CHUNK + 5)])
 def test_csv_writer_splits_chunks_like_oracle(tmp_path, blocks, size):
     rng = np.random.default_rng(blocks)
     columns = (
