@@ -32,8 +32,8 @@ RUNS = [
     ("sample-cumulative-long", "sample", {"sampling": {"count": 20, "grid": LONG}}, None),
     ("sample-recursion-long", "sample", {"sampling": {"count": 20, "construction": "recursion",
                                                       "grid": LONG}}, None),
-    ("sample-cumulative-dc-1000x200", "sample", {"kernel": DC, "sampling": {"count": 1000, "seed": 7,
-                                                                            "grid": {"num": 200}}}, None),
+    ("sample-cumulative-dc-1000x200", "sample",
+     {"kernel": DC, "sampling": {"count": 1000, "seed": 7, "grid": {"num": 200}}}, None),
     ("tridiag-tc", "tridiag", {"tridiag": {"grid": {"num": 40}}}, None),
     ("tridiag-dc-200", "tridiag", {"kernel": DC, "tridiag": {"grid": {"num": 200}}}, None),
     ("tridiag-dc", "tridiag", {"kernel": {"variant": "dc", "alpha": 1.1, "beta": 0.4}}, None),

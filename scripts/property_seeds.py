@@ -25,7 +25,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def pytest_collection_modifyitems(config, items):
-    keep = [item for item in items if getattr(getattr(item, "obj", None), "is_hypothesis_test", False)]
+    keep = [i for i in items if getattr(getattr(i, "obj", None), "is_hypothesis_test", False)]
     dropped = [item for item in items if item not in keep]
     if dropped:
         config.hook.pytest_deselected(items=dropped)
@@ -37,8 +37,9 @@ def run_seed(seed: int, extra: list[str]) -> list[str]:
     paths = [os.path.join(ROOT, "src"), os.path.dirname(os.path.abspath(__file__))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     argv = [
-        sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "-p", "property_seeds",
-        "--hypothesis-profile=random", f"--hypothesis-seed={seed}", os.path.join(ROOT, "tests"), *extra,
+        sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+        "-p", "property_seeds", "--hypothesis-profile=random", f"--hypothesis-seed={seed}",
+        os.path.join(ROOT, "tests"), *extra,
     ]
     done = subprocess.run(argv, env=env, cwd=ROOT, capture_output=True, text=True)
     failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]

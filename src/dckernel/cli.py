@@ -207,7 +207,8 @@ def _write_csv(path: str, command: str, cfg_hash: str, header, columns) -> None:
             if isinstance(text, int):
                 slot[...] = formatted[text]
             else:
-                slot[...] = text[b if text.shape[0] > 1 else slice(None), p if text.shape[1] > 1 else slice(None)]
+                rows_b = b if text.shape[0] > 1 else slice(None)
+                slot[...] = text[rows_b, p if text.shape[1] > 1 else slice(None)]
         lines = buf[: shape[0] * shape[1]]
         return lines[np.not_equal(lines, 0, out=keep[: len(lines)])]
 
@@ -300,8 +301,9 @@ def _build_quadrature(cfg: dict):
     from .quadrature import QuadratureConfig
 
     block = cfg["quadrature"]
+    counts = ("panels", "nodes", "graded_panels", "max_extensions")
     return QuadratureConfig(
-        **{k: _integer(block[k], f"quadrature.{k}", 1) for k in ("panels", "nodes", "graded_panels", "max_extensions")},
+        **{k: _integer(block[k], f"quadrature.{k}", 1) for k in counts},
         **{k: _real(block[k], f"quadrature.{k}") for k in ("grading_ratio", "rel_tol")},
     )
 

@@ -184,8 +184,11 @@ def _layout(x, digits, k):
     if sci.size:  # e, the exponent's sign, then 2 or 3 of its 4-digit text, as one word
         power = k[sci]
         exponent = quads[np.abs(power)]  # byte j holds the j-th of 4 digits
-        suffix = np.where(power < 0, ord("e") | ord("-") << 8, ord("e") | ord("+") << 8).astype(np.uint64)
-        suffix |= np.where(np.abs(power) >= 100, exponent >> np.uint64(8), exponent >> np.uint64(16)) << np.uint64(16)
+        suffix = np.where(power < 0, ord("-"), ord("+")).astype(np.uint64) << np.uint64(8)
+        suffix |= np.uint64(ord("e"))
+        wide = np.abs(power) >= 100
+        figures = np.where(wide, exponent >> np.uint64(8), exponent >> np.uint64(16))
+        suffix |= figures << np.uint64(16)
         at = tab["length"][case[sci]]  # the suffix's first byte: word at // 8, bit 8 (at % 8)
         bit = ((at & 7) << 3).astype(np.uint64)
         word[at >> 3, sci] |= suffix << bit

@@ -448,7 +448,8 @@ class QuasiseparableGram:
             W = Q[..., :r]
             E = eye * across[:, None, None, :] - Q[..., r:]
             Hs, inverses, C = [], [], np.zeros((width, r, r))
-            for W_b, Et_b, E_b, N in zip(zip(*_columns(W)), zip(*_columns(E.swapaxes(2, 3))), E, unexplained):
+            transposed = zip(*_columns(E.swapaxes(2, 3)))
+            for W_b, Et_b, E_b, N in zip(zip(*_columns(W)), transposed, E, unexplained):
                 M = eye + _times(W_b, C)
                 # W >= 0 and C symmetric: eigenvalues of W C are real, all above -1
                 # iff I + W C has positive trace and determinant (r <= 2)

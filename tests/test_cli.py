@@ -500,7 +500,8 @@ def test_csv_writer_matches_oracle(tmp_path):
 
 def _written(tmp_path, columns):
     path = tmp_path / "columns.csv"
-    cli._write_csv(str(path), "cols", "0123456789ab", [f"c{i}" for i in range(len(columns))], columns)
+    header = [f"c{i}" for i in range(len(columns))]
+    cli._write_csv(str(path), "cols", "0123456789ab", header, columns)
     return path.read_bytes()
 
 
@@ -524,7 +525,7 @@ def test_csv_writer_column_shapes_match_oracle(tmp_path):
         # every float e-style, among repeated integer columns
         (np.arange(4)[:, None], tiny, np.arange(6)[None, :] * 1000, huge),
         # (B, 1), (1, P) and (B, P) floats mixed, a scalar and an empty field
-        (rng.normal(size=(4, 1)), None, rng.normal(size=(1, 6)), rng.normal(size=(4, 6)), np.float64(0.5)),
+        (rng.normal(size=(4, 1)), None, rng.normal(size=(1, 6)), rng.normal(size=(4, 6)), 0.5),
         # one row of scalars with the empty field last, as norm.csv without its series
         (np.float64(1.3), np.float64(-2e-7), None),
         # one block of floats given as a 1-D array, as estimate.csv
@@ -539,7 +540,9 @@ def test_csv_writer_column_shapes_match_oracle(tmp_path):
 # two blocks of 3001 rows fill a chunk, so chunk edges fall at no multiple
 # of CHUNK, and 11 blocks of 1500 leave the last chunk part-full; blocks
 # longer than CHUNK rows are split across chunks
-@pytest.mark.parametrize("blocks,size", [(7, 3001), (11, 1500), (2, CHUNK + 37), (1, 2 * CHUNK + 5)])
+@pytest.mark.parametrize(
+    "blocks,size", [(7, 3001), (11, 1500), (2, CHUNK + 37), (1, 2 * CHUNK + 5)]
+)
 def test_csv_writer_splits_chunks_like_oracle(tmp_path, blocks, size):
     rng = np.random.default_rng(blocks)
     columns = (
