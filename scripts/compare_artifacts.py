@@ -6,10 +6,13 @@ OLD_SRC and NEW_SRC are ``src`` directories of two dckernel checkouts
 (the directories that hold the ``dckernel`` package).  Each tree runs every
 command on the same fixed configs and inputs, in a fresh Python process of
 its own, and the script lists every artifact with its verdict: ``same``,
-``DIFFERS``, or ``MISSING`` on one side.  A run whose exit code differs
-between the trees is listed as ``EXIT``, and one that wrote nothing in
-either tree (a refused config) as ``no-output``.  The exit status is 0 when
-every artifact and exit code agree, and 1 otherwise.
+``DIFFERS``, or ``MISSING`` on one side.  A ``DIFFERS`` line also gives
+the largest relative change, max|new - old| / max|old| over the numeric
+fields of a CSV artifact or the numbers of a JSON one, in order.  A run
+whose exit code differs between the trees is listed as ``EXIT``, and one
+that wrote nothing in either tree (a refused config) as ``no-output``.
+The exit status is 0 when every artifact and exit code agree, and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ RUNS = [
     ("tridiag-tc", "tridiag", {"tridiag": {"grid": {"num": 40}}}, None),
     ("tridiag-dc-200", "tridiag", {"kernel": DC, "tridiag": {"grid": {"num": 200}}}, None),
     ("tridiag-dc", "tridiag", {"kernel": {"variant": "dc", "alpha": 1.1, "beta": 0.4}}, None),
+    ("tridiag-dc-long", "tridiag", {"kernel": {"variant": "dc", "alpha": 0.3, "beta": 0.7},
+                                    "tridiag": {"grid": {"start": 0.1, "stop": 60.0, "num": 40}}},
+     None),
     ("expand-spline1", "expand", {"kernel": {"variant": "spline1"},
                                   "expand": {"truncation": 200, "grid_points": 30}}, None),
     ("expand-genspline1", "expand", {"kernel": {"variant": "genspline1", "rho": 0.3},
@@ -126,8 +132,57 @@ def compare(work: str, codes: dict) -> list[tuple[str, str]]:
             else:
                 old, new = (open(p, "rb").read() for p in paths)
                 verdict = "same" if old == new else "DIFFERS"
-            verdicts.append((verdict, f"{name}/{file}"))
+            change = f"  ({relative_change(*paths)})" if verdict == "DIFFERS" else ""
+            verdicts.append((verdict, f"{name}/{file}{change}"))
     return verdicts
+
+
+def relative_change(old_path: str, new_path: str) -> str:
+    """The largest max|new - old| / max|old| over the numeric columns of two artifacts.
+
+    A column is a CSV column, or the numbers under one key path of a JSON
+    file (list positions pooled), so an index column does not dilute a
+    value column.
+    """
+    old, new = _columns(old_path), _columns(new_path)
+    if old.keys() != new.keys() or any(len(old[k]) != len(new[k]) for k in old):
+        return "numbers differ in layout"
+    worst, where = 0.0, ""
+    for key, before in old.items():
+        scale = max(abs(x) for x in before)
+        change = max(abs(b - a) for a, b in zip(before, new[key]))
+        rel = change / scale if scale else (math.inf if change else 0.0)
+        if rel > worst:
+            worst, where = rel, f" in {key}, max|old| {scale:.2e}"
+    return f"max rel change {worst:.2e}{where}"
+
+
+def _columns(path: str) -> dict[str, list[float]]:
+    """Numbers by column: CSV columns below the header, or JSON key paths."""
+    with open(path) as fh:
+        text = fh.read()
+    columns: dict[str, list[float]] = {}
+    if path.endswith(".json"):
+
+        def walk(x, key):
+            if isinstance(x, dict):
+                for name, item in x.items():
+                    walk(item, f"{key}.{name}" if key else name)
+            elif isinstance(x, list):
+                for item in x:
+                    walk(item, key)
+            elif isinstance(x, (int, float)) and not isinstance(x, bool):
+                columns.setdefault(key, []).append(float(x))
+
+        walk(json.loads(text), "")
+        return columns
+    header, *rows = [line for line in text.splitlines() if not line.startswith("#")]
+    names = header.split(",")
+    for row in rows:
+        for name, field in zip(names, row.split(",")):
+            if field:
+                columns.setdefault(name, []).append(float(field))
+    return columns
 
 
 def _listing(directory: str) -> list[str]:

@@ -28,7 +28,7 @@ _EXPORTS = {
     "QuadratureConfig": "quadrature",
     "DEFAULT_QUADRATURE": "quadrature",
     "integrate_unit": "quadrature",
-    "integrate_refining": "quadrature",
+    "integrate_halfline": "quadrature",
     # mercer
     "EigenSystem": "mercer",
     "eigenvalue": "mercer",

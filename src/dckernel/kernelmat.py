@@ -1,13 +1,13 @@
 """Kernel matrices on half-line grids: dense, tridiagonal-inverse, quasiseparable.
 
-The dc kernel restricted to a finite grid has a tridiagonal inverse.  The
-route here is constructive rather than a generic matrix inversion: the
-order-1 recursion behind the kernel (see `maxent.sample_dc_markov`) gives
-an upper-bidiagonal whitening map T with T K T' = I, so K^{-1} = T' T is
-tridiagonal by inspection and every entry beyond the first off-diagonal
-is an exact zero, not a small float.  `markov_factors` exposes the
-recursion coefficients and `tridiagonal_inverse` assembles K^{-1} from
-them.
+The dc kernel is a scaled Ornstein-Uhlenbeck covariance, dc(t, s) =
+D(t) D(s) exp(-beta |t - s|) with D(t) = exp(-alpha t).  One factorization
+of a grid, (D, rho, 1 - rho^2) with rho_i = exp(-beta gap_i)
+(`_scaled_markov`), feeds `tridiagonal_inverse` (K^{-1} = D^{-1} T D^{-1},
+T the Ornstein-Uhlenbeck precision, written band by band so every entry
+beyond the first off-diagonal is an exact zero), `markov_factors` and
+`_scaled_recursion`, which runs both samplers of `maxent`.  Every factor but
+D lies in [0, 1]: no spacing is too tight, no horizon too long while D is normal.
 
 `QuasiseparableGram` holds the Gram matrix of any half-line kernel as
 O(r n) generators, r the number of exponential terms on each triangle
@@ -28,13 +28,7 @@ import numpy as np
 
 from .errors import ConditioningError, DomainError
 from .grids import HALFLINE, TimeGrid
-from .kernels import (
-    KernelSpec,
-    eval_kernel,
-    stable_gaps,
-    stable_log_weight,
-    triangle_terms,
-)
+from .kernels import KernelSpec, eval_kernel, stable_params, triangle_terms
 
 __all__ = [
     "KernelMatrix",
@@ -44,9 +38,6 @@ __all__ = [
     "QuasiseparableGram",
     "max_off_tridiagonal",
 ]
-
-_GAP_FLOOR = 1e-14
-
 
 @dataclass(frozen=True)
 class KernelMatrix:
@@ -76,6 +67,25 @@ def assemble(spec: KernelSpec, grid: TimeGrid) -> KernelMatrix:
     return KernelMatrix(spec, grid, vals)
 
 
+def _scaled_markov(spec: KernelSpec, grid: TimeGrid):
+    """(D, rho, 1 - rho^2) on a grid: D = exp(-alpha t), rho_i = exp(-beta gap_i).
+
+    1 - rho^2 is -expm1(-2 beta gap); the last gap runs to infinity (rho = 0,
+    1 - rho^2 = 1).  Nothing is subtracted, so no digits are lost.  Raises
+    ConditioningError, naming t, when D at the last sample (the smallest,
+    the square root of k(t, t)) is not a normal double.
+    """
+    if grid.domain != HALFLINE:
+        raise DomainError("expected a half-line grid")
+    alpha, beta, _ = stable_params(spec)
+    t = grid.points
+    D = np.exp(-alpha * t)
+    if not D[-1] >= np.finfo(float).tiny:
+        raise ConditioningError(f"sqrt k(t, t) is below the normal range at t={t[-1]:.6g}")
+    gaps = np.diff(t, append=np.inf)
+    return D, np.exp(-beta * gaps), -np.expm1(-2.0 * beta * gaps)
+
+
 def markov_factors(spec: KernelSpec, grid: TimeGrid):
     """Coefficients of the order-1 recursion that generates the dc kernel.
 
@@ -86,57 +96,50 @@ def markov_factors(spec: KernelSpec, grid: TimeGrid):
         value[i]   = transition[i] * value[i+1] + innovation_std[i] * w[i]
 
     with independent standard normals w reproduces the kernel as the
-    covariance.  transition[n-1] is unused and set to 0.
-
-    Raises ConditioningError when an exponential gap collapses below
-    1e-14, which happens for grid spacings tiny relative to 1/(2 beta);
-    the innovation variance is then dominated by cancellation.
+    covariance: transition[i] = exp((alpha - beta) gap_i) and
+    innovation_std = D sqrt(1 - rho^2) (`_scaled_markov`).  transition[n-1]
+    is unused and set to 0.
     """
-    if grid.domain != HALFLINE:
-        raise DomainError("expected a half-line grid")
-    t = grid.points
-    n = t.size
-    gaps = stable_gaps(spec, t)
-    bad = np.nonzero(gaps < _GAP_FLOOR)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ConditioningError(
-            f"exponential gap {gaps[i]:.3e} below {_GAP_FLOOR:g} between "
-            f"t[{i}]={t[i]:.6g} and t[{i + 1}]={t[i + 1]:.6g}"
-            if i + 1 < n
-            else f"terminal exponential gap {gaps[i]:.3e} below {_GAP_FLOOR:g} "
-            f"at t[{i}]={t[i]:.6g}"
-        )
-    scale = np.exp(stable_log_weight(spec, t))
-    transition = np.zeros(n)
-    if n > 1:
-        transition[: n - 1] = scale[: n - 1] / scale[1:]
-    innovation_std = scale * np.sqrt(gaps)
-    return transition, innovation_std
+    D, _, one_minus = _scaled_markov(spec, grid)
+    transition = np.append(np.exp((spec.alpha - spec.beta) * np.diff(grid.points)), 0.0)
+    return transition, D * np.sqrt(one_minus)
+
+
+def _scaled_recursion(spec: KernelSpec, grid: TimeGrid, w) -> np.ndarray:
+    """value = D S for S_i = rho_i S_{i+1} + sqrt(1 - rho_i^2) w_i, from the last column.
+
+    ``w`` is (count, n) noise; the result is a C-contiguous (count, n)
+    matrix, each row with the dc kernel as covariance for standard normal
+    w.  S runs in place, one column per step, every factor in [0, 1].
+    """
+    D, rho, one_minus = _scaled_markov(spec, grid)
+    S = np.multiply(w, np.sqrt(one_minus), order="C")
+    for i in range(grid.n - 2, -1, -1):
+        S[:, i] += rho[i] * S[:, i + 1]
+    S *= D
+    return S
 
 
 def tridiagonal_inverse(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """Inverse Gram matrix, assembled tridiagonally with exact zeros.
 
-    Built as T' T from the whitening factors, but written band by band so
-    no dense product can smear rounding into the zero pattern.
+    K^{-1} = D^{-1} T D^{-1} (`_scaled_markov`), T the Ornstein-Uhlenbeck
+    precision: T_ii = 1 + sum of rho^2 / (1 - rho^2) over the gaps next to
+    sample i, T_{i,i+1} = -rho_i / (1 - rho_i^2).  Written band by band, so
+    every entry beyond the first off-diagonal is an exact zero.  Raises
+    ConditioningError when an entry overflows.
     """
-    transition, innovation_std = markov_factors(spec, grid)
-    n = grid.n
-    inv_var = 1.0 / innovation_std ** 2
-    diag = inv_var.copy()
-    if n > 1:
-        diag[1:] += transition[:-1] ** 2 * inv_var[:-1]
-        off = -transition[:-1] * inv_var[:-1]
-    else:
-        off = np.zeros(0)
-    out = np.zeros((n, n))
-    idx = np.arange(n)
-    out[idx, idx] = diag
-    if n > 1:
-        out[idx[:-1], idx[:-1] + 1] = off
-        out[idx[:-1] + 1, idx[:-1]] = off
-    return out
+    D, rho, one_minus = _scaled_markov(spec, grid)
+    ratio = rho / one_minus
+    tied = rho * ratio  # rho^2 / (1 - rho^2), 0 for the gap to infinity
+    inv_d = 1.0 / D
+    with np.errstate(over="ignore"):
+        diag = (1.0 + tied + np.concatenate([[0.0], tied[:-1]])) * inv_d * inv_d
+        off = -ratio[:-1] * inv_d[:-1] * inv_d[1:]  # |off| <= the larger diagonal neighbour
+    bad = np.flatnonzero(~np.isfinite(diag))
+    if bad.size:
+        raise ConditioningError(f"inverse Gram entry overflows at t={grid.points[bad[0]]:.6g}")
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)  # zeros add to exact zeros
 
 
 RESIDUAL_TOL = 1e-9

@@ -14,11 +14,11 @@ coordinate x = exp(-2 beta t) turns ``genspline1`` with rho =
 (alpha - beta) / (2 beta) into ``dc``, and ``tc`` is ``dc`` at alpha = beta
 (rho = 0, where ``genspline1`` is ``spline1``).  This module is the only
 place that knows that parametrization: `stable_params`,
-`stable_coordinate`, `stable_gaps` and `stable_log_weight` serve every
-other module, and `triangle_terms` writes each half-line kernel as a sum
-of exponentials for closed-form integrals.  `verify_stable_spline_identity`
-evaluates both routes on a caller-supplied grid and returns the worst
-discrepancy, which should sit at rounding level.  Note the mapped route
+`stable_coordinate`, `stable_gaps` (for the maxent oracles) and
+`stable_log_weight` serve every other module, and `triangle_terms` writes
+each half-line kernel as a sum of exponentials for closed-form integrals.
+`verify_stable_spline_identity` evaluates both routes on a caller-supplied
+grid and returns the worst discrepancy, which should sit at rounding level.  Note the mapped route
 underflows once the exponent of the coordinate image exceeds ~745, so keep
 grids within the floating-point range of exp.
 """

@@ -10,7 +10,10 @@ spline kernel.
 `sample_dc_markov` draws the identical law through the order-1 recursion
 that runs from the last grid instant backward; its covariance is exactly
 the kernel Gram matrix, which `dc_markov_exact_covariance` reproduces by
-propagating second moments through the recursion.
+propagating second moments through the recursion.  Both samplers run one
+recursion (`kernelmat._scaled_recursion`), the cumulative one on reversed
+noise columns; the other exact covariances and `verify_maxent_constraints`
+keep the literal stable-coordinate sums, as oracles independent of it.
 
 The constructions maximise differential entropy subject to zero means and
 fixed increment variances.  `verify_maxent_constraints` checks those
@@ -39,7 +42,7 @@ import numpy as np
 from .errors import DomainError
 from .grids import HALFLINE, TimeGrid
 from .kernels import KernelSpec, stable_gaps, stable_log_weight
-from .kernelmat import markov_factors
+from .kernelmat import _scaled_recursion, markov_factors
 
 __all__ = [
     "GaussianSample",
@@ -225,21 +228,11 @@ def sample_dc_process(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
     The scaled value at grid point k sums w(n-1-i) * sqrt of the exponential
     gap over i = k..n-1; noise index 0 belongs to the far end, so a matched
     seed reproduces the unit-interval sum on the reversed image grid.
+    It runs as the recursion of `sample_dc_markov` on the reversed noise.
     Covariance is the dc kernel.
     """
-    if grid.domain != HALFLINE:
-        raise DomainError("expected a half-line grid")
-    t = grid.points
-    n = t.size
-    gaps = stable_gaps(spec, t)
-    count = _nonnegative_int(count, "count")
-    w = standard_normal_matrix(seed, count, n)
-    # running sums over the reversed index, then read back: value k uses
-    # noise 0..n-1-k against gaps n-1 down to k
-    acc = np.cumsum(w * np.sqrt(gaps[::-1]), axis=1)
-    scale = np.exp(stable_log_weight(spec, t))
-    vals = acc[:, ::-1] * scale
-    return SampleBatch(grid, vals, seed)
+    w = standard_normal_matrix(seed, _nonnegative_int(count, "count"), grid.n)
+    return SampleBatch(grid, _scaled_recursion(spec, grid, w[:, ::-1]), seed)
 
 
 def sample_dc_markov(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
@@ -247,22 +240,11 @@ def sample_dc_markov(grid: TimeGrid, spec: KernelSpec, seed: int, count: int):
 
     The recursion is generative from the far end: the last grid value is a
     scaled innovation, and each earlier value combines the next one with a
-    fresh innovation.  Running it toward the origin is what keeps the
-    scaled variances decreasing along the grid; the distribution matches
-    `sample_dc_process` exactly (law, not path-wise).
+    fresh innovation, noise index i at grid point i.  The distribution
+    matches `sample_dc_process` exactly (law, not path-wise).
     """
-    if grid.domain != HALFLINE:
-        raise DomainError("expected a half-line grid")
-    count = _nonnegative_int(count, "count")
-    t = grid.points
-    n = t.size
-    transition, innovation_std = markov_factors(spec, grid)
-    w = standard_normal_matrix(seed, count, n)
-    vals = np.empty((count, n))
-    vals[:, n - 1] = innovation_std[n - 1] * w[:, n - 1]
-    for i in range(n - 2, -1, -1):
-        vals[:, i] = transition[i] * vals[:, i + 1] + innovation_std[i] * w[:, i]
-    return SampleBatch(grid, vals, seed)
+    w = standard_normal_matrix(seed, _nonnegative_int(count, "count"), grid.n)
+    return SampleBatch(grid, _scaled_recursion(spec, grid, w), seed)
 
 
 def dc_process_exact_covariance(grid: TimeGrid, spec: KernelSpec) -> np.ndarray:
@@ -282,16 +264,11 @@ def dc_markov_exact_covariance(grid: TimeGrid, spec: KernelSpec) -> np.ndarray:
     if grid.domain != HALFLINE:
         raise DomainError("expected a half-line grid")
     transition, innovation_std = markov_factors(spec, grid)
-    n = grid.n
-    cov = np.zeros((n, n))
-    cov[n - 1, n - 1] = innovation_std[n - 1] ** 2
-    for i in range(n - 2, -1, -1):
-        cov[i, i] = transition[i] ** 2 * cov[i + 1, i + 1] + innovation_std[i] ** 2
-    for j in range(n - 1, -1, -1):
-        for i in range(j - 1, -1, -1):
-            cov[i, j] = transition[i] * cov[i + 1, j]
-            cov[j, i] = cov[i, j]
-    return cov
+    cov = np.diag(innovation_std ** 2)
+    for i in range(grid.n - 2, -1, -1):  # row i of the upper triangle from row i + 1
+        cov[i, i + 1 :] = transition[i] * cov[i + 1, i + 1 :]
+        cov[i, i] += transition[i] * cov[i, i + 1]
+    return np.triu(cov) + np.triu(cov, 1).T
 
 
 def _equicorrelated(variances, correlation):

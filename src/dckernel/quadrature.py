@@ -5,15 +5,14 @@ Three features cover everything the package integrates:
 * explicit split points, so integrands with an interior kink (min-type
   kernels, piecewise input signals) never straddle a panel;
 * geometric panel grading toward 0 for endpoint power singularities;
-* a tail-extension loop for integrals on (0, 1] whose integrability at 0
-  is not known in advance.  The loop keeps appending geometric panels
-  toward 0 until their contribution is negligible, and raises
-  `DivergenceError` / `QuadratureError` when contributions grow or fail
-  to settle within the budget.
+* a tail-extension loop on [0, inf) for exponentially decaying integrands
+  (`integrate_halfline`), whose panels grow geometrically to the
+  integrand's own scale, however slow its decay, in a few steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -28,7 +27,7 @@ __all__ = [
     "composite_rule",
     "unit_breakpoints",
     "integrate_unit",
-    "integrate_refining",
+    "integrate_halfline",
 ]
 
 
@@ -102,64 +101,81 @@ def integrate_unit(f, cfg: QuadratureConfig, *, graded: bool = False, splits=())
     return float(np.sum(wts * f(pts)))
 
 
-_CHUNK = 8  # geometric panels appended per tail extension
+_CHUNK = 8  # panels appended per tail extension
+_RESOLVED = 3.0  # |d| times a panel's length: 8 nodes then integrate exp(-d t) to 1e-15
 
 
-def integrate_refining(f, cfg: QuadratureConfig, *, splits=()):
-    """Integral of ``f`` over (0, 1] with divergence detection at 0.
+def integrate_halfline(f, cfg: QuadratureConfig, *, scale: float, splits=(), nan_edge=False):
+    """Integral of a non-negative ``f`` over [0, inf) that decays exponentially.
 
-    The graded base rule covers [tau_min, 1]; the loop then extends the
-    geometric grading deeper.  Convergence requires two consecutive
-    extensions whose contribution is below ``rel_tol / 50`` of the running
-    total (keeping the untallied tail well under ``rel_tol``).  Growing
-    contributions raise `DivergenceError`; an exhausted budget raises
-    `QuadratureError`.  Both carry the last two partial sums.
+    ``cfg.panels`` uniform panels cover [0, scale]; then panels are appended
+    `_CHUNK` at a time, each ending at most 1 / ratio times as far out as it
+    starts and at most `_RESOLVED` / |d| long, d the log-slope of ``f`` at
+    the last node; after a split they restart at a base panel's length.  So
+    exp(-d t) takes about log(1 / (d scale)) / log(1 / ratio) panels.
+
+    A panel's estimate is the total so far plus the integral of the
+    exponential through its last two nodes.  The loop returns the first
+    estimate past the last split that agrees with the one before to
+    ``rel_tol / 50`` once its panel spans 1 / d (or f has reached 0).  A
+    value that is not finite before then raises `DivergenceError` where f
+    grew and `QuadratureError` where it decayed, as does an exhausted
+    budget.  With ``nan_edge``, a NaN marks where the inputs of f left the
+    floating-point range, and an agreeing estimate is returned there: a slow
+    decay can reach that edge long before its panels span 1 / d.
     """
-    base = unit_breakpoints(cfg, graded=True, splits=splits)
-    base = base[base > 0.0]
+    splits = np.unique([float(x) for x in splits if x > 0.0])
+    base = np.union1d(np.linspace(0.0, scale, cfg.panels + 1), splits[splits < scale])
     pts, wts = composite_rule(base, cfg.nodes)
     vals = f(pts)
     if not np.all(np.isfinite(vals)):
         raise DivergenceError("integrand not finite on the base rule", estimates=None)
     total = float(np.sum(wts * vals))
-
-    tau = base[0]
-    ratio = cfg.grading_ratio
-    threshold = cfg.rel_tol / 50.0
-    prev_delta = None
-    quiet = 0
-    growing = 0
+    later, last = splits[splits > scale].tolist(), (splits[-1] if splits.size else 0.0)
+    threshold, grow = cfg.rel_tol / 50.0, 1.0 / cfg.grading_ratio
+    first, step = scale / cfg.panels, np.inf
+    edges, estimate, agreed = [scale], np.inf, False
+    slope = float(_log_slopes(pts[-cfg.nodes :], vals[-cfg.nodes :]))
     for _ in range(cfg.max_extensions):
-        sub = np.concatenate([tau * ratio ** np.arange(_CHUNK, 0, -1), [tau]])
-        p, w = composite_rule(sub, cfg.nodes)
-        v = f(p)
-        delta = float(np.sum(w * v))
-        if not np.isfinite(delta) or not np.all(np.isfinite(v)):
-            raise DivergenceError(
-                "integrand overflows approaching 0; integral diverges",
-                estimates=(total, total + (delta if np.isfinite(delta) else 0.0)),
-            )
-        new_total = total + delta
-        if prev_delta is not None and abs(delta) > 1.2 * abs(prev_delta):
-            growing += 1
-            if growing >= 2:
-                raise DivergenceError(
-                    "tail contributions grow toward 0; integral diverges",
-                    estimates=(total, new_total),
-                )
-        else:
-            growing = 0
-        if abs(delta) <= threshold * max(abs(new_total), 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                return new_total
-        else:
-            quiet = 0
-        total = new_total
-        prev_delta = delta
-        tau *= ratio ** _CHUNK
-    raise QuadratureError(
-        "tail did not settle within the extension budget "
-        "(slowly convergent or logarithmically divergent)",
-        estimates=(total - (prev_delta or 0.0), total),
-    )
+        edges, longest = edges[-1:], _RESOLVED / abs(slope) if slope else np.inf
+        for _ in range(_CHUNK):
+            start = edges[-1]
+            end = start + min(step, start * (grow - 1.0), longest)
+            if later and later[0] < end:
+                end, step = later.pop(0), first
+            else:
+                step = (end - start) * grow
+            edges.append(end)
+        p, w = composite_rule(edges, cfg.nodes)
+        p, w, v = (a.reshape(_CHUNK, cfg.nodes) for a in (p, w, f(p)))
+        slopes = _log_slopes(p, v)
+        with np.errstate(over="ignore"):
+            deltas = np.sum(w * v, axis=1).tolist()
+        tails = _tails(p, v, slopes, edges[1:]).tolist()
+        for k, (delta, tail, rate) in enumerate(zip(deltas, tails, slopes.tolist())):
+            if not math.isfinite(delta):
+                if nan_edge and agreed and math.isnan(delta):
+                    return estimate
+                error = DivergenceError if slope <= 0.0 else QuadratureError
+                raise error("integrand not finite before settling", estimates=(total, estimate))
+            total += delta
+            previous, estimate, slope = estimate, total + tail, rate
+            agreed = edges[k] >= last and abs(estimate - previous) <= threshold * estimate < np.inf
+            # the last two nodes fix the log-slope to rounding once the panel spans 1 / slope
+            if agreed and (slope * (edges[k + 1] - edges[k]) >= 1.0 or tail == 0.0):
+                return estimate
+    raise QuadratureError("tail did not settle within the budget", estimates=(total,) * 2)
+
+
+def _log_slopes(x, v):
+    """-d log f / dt through each panel's last two nodes; 0 where a value is not positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.log(v[..., -2] / v[..., -1]) / (x[..., -1] - x[..., -2])
+    return np.where((v[..., -1] > 0.0) & (v[..., -2] > 0.0), slope, 0.0)
+
+
+def _tails(x, v, slope, end):
+    """Integral beyond ``end`` of the exponential through each panel's last two nodes."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tail = v[..., -1] * np.exp(-slope * (end - x[..., -1])) / slope
+    return np.where(slope > 0.0, tail, np.where(v[..., -1] == 0.0, 0.0, np.inf))

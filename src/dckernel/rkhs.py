@@ -5,8 +5,8 @@ exponentially decaying functions.  Two independent routes to the squared
 norm are provided:
 
 * `dc_norm_integral` / `tc_norm_integral` -- the first-order differential
-  form, integrated after the substitution tau = exp(-2 beta t) so the
-  semi-infinite range never needs truncating;
+  form, integrated in t on panels that grow geometrically, where the
+  integrand of any function in the space decays exponentially;
 * `dc_norm_series` -- partial sums of squared eigen-coefficients divided by
   eigenvalues.
 
@@ -33,7 +33,7 @@ from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     composite_rule,
-    integrate_refining,
+    integrate_halfline,
     unit_breakpoints,
 )
 
@@ -65,8 +65,9 @@ class FunctionHandle:
     ``func`` and ``deriv`` must accept numpy arrays (ufunc style).  When no
     derivative is supplied a second-order finite difference with relative
     step 1e-6 stands in.  ``decay_hint`` is the dominant exponential decay
-    rate, used for membership screening; ``corners`` lists argument values
-    where the derivative jumps, so quadratures can split there.
+    rate, used for membership screening and to size the first quadrature
+    panels; ``corners`` lists where the derivative jumps, so quadratures
+    can split there.
     """
 
     func: Callable
@@ -151,41 +152,41 @@ def _corner_splits(corners, spec):
 def dc_norm_integral(
     handle: FunctionHandle, spec: KernelSpec, quad: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
-    """Squared dc-norm via the weighted first-order differential form.
+    """Squared dc-norm via the weighted first-order differential form, in t.
 
-    Substituting tau = exp(-2 beta t) maps the half line onto (0, 1]; the
-    integrand is evaluated in a scaled form that avoids premature overflow
-    and the tail toward tau = 0 is extended until it settles.  Divergence
-    (decay too slow for the space) raises `DivergenceError`.
+    The form in tau = exp(-2 beta t), pulled back to the half line, is
+
+        ||f||^2 = int_0^inf exp(2 alpha t) (f'(t) + (alpha - beta) f(t))^2 dt / (2 beta),
+
+    whose integrand decays exponentially for an f of finite norm, however
+    close its decay to alpha (`quadrature.integrate_halfline`).  It reads NaN
+    where f and f' both lie below the normal range; near the threshold that
+    edge comes before the integrand has decayed, and the quadrature carries
+    its exponential past it.  Too slow a decay raises `DivergenceError`.
     """
-    _, beta, rho = stable_params(spec)
-    _check_derivative(handle, 0.05, 4.0 / beta)
+    alpha, beta, _ = stable_params(spec)
+    _check_derivative(handle, 0.05 / beta, 4.0 / beta)
 
-    def integrand(tau):
-        t = np.log(tau) / (-2.0 * beta)
-        q = handle.derivative(t) / (2.0 * beta) + rho * handle.evaluate(t)
-        scaled = tau ** (-(rho + 1.0)) * q
-        return scaled * scaled
+    def integrand(t):
+        f, df = handle.evaluate(t), handle.derivative(t)
+        # both below the normal range: the digits of f' + (alpha - beta) f are gone
+        lost = np.maximum(np.abs(f), np.abs(df)) < np.finfo(float).tiny
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = np.exp(0.5 * alpha * t)  # in two factors, it overflows only with the product
+            scaled = half * (df + (alpha - beta) * f) * half
+            return np.where(lost, np.nan, scaled * scaled / (2.0 * beta))
 
-    return integrate_refining(integrand, quad, splits=_corner_splits(handle.corners, spec))
+    scale = 1.0 / (alpha + beta + (handle.decay_hint or 0.0))
+    return integrate_halfline(integrand, quad, scale=scale, splits=handle.corners, nan_edge=True)
 
 
 def tc_norm_integral(
     handle: FunctionHandle, spec: KernelSpec, quad: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
-    """Squared tc-norm, the unweighted special case of the differential form."""
+    """Squared tc-norm: `dc_norm_integral` at alpha = beta, where the weight drops out."""
     if spec.variant != "tc":
         raise DomainError("tc_norm_integral expects a tc kernel spec")
-    beta = spec.beta
-    _check_derivative(handle, 0.05, 4.0 / beta)
-
-    def integrand(tau):
-        t = np.log(tau) / (-2.0 * beta)
-        q = handle.derivative(t) / (2.0 * beta)
-        scaled = q / tau
-        return scaled * scaled
-
-    return integrate_refining(integrand, quad, splits=_corner_splits(handle.corners, spec))
+    return dc_norm_integral(handle, spec, quad)
 
 
 def exp_norm_closed_form(gamma: float, alpha: float, beta: float) -> float:
@@ -226,7 +227,7 @@ def dc_norm_series(
             raise DomainError(
                 f"decay hint {handle.decay_hint!r} fails the necessary membership condition"
             )
-    _check_derivative(handle, 0.05, 4.0 / beta)
+    _check_derivative(handle, 0.05 / beta, 4.0 / beta)
 
     splits = _corner_splits(handle.corners, system.kernel)
     pts, wts = composite_rule(

@@ -271,6 +271,15 @@ def test_norm_artifact(tmp_path):
     assert cli.main(["norm", "--config", slow, "--out", str(tmp_path)]) == 2
 
 
+def test_norm_near_the_membership_threshold(tmp_path):
+    # gamma exceeds alpha by a tenth, beta is 5000 alpha: the norm lives at t ~ 1e3
+    config = {"kernel": {"variant": "dc", "alpha": 0.01, "beta": 50.0}, "norm": {"gamma": 0.011}}
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert cli.main(["norm", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, quad_val, _, closed = (tmp_path / "norm.csv").read_text().splitlines()[2].split(",")
+    assert float(quad_val) == pytest.approx(float(closed), rel=1e-8)
+
+
 def test_tridiag_artifact(tmp_path):
     assert cli.main(["tridiag", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "tridiag.csv").read_text().splitlines()
@@ -292,6 +301,50 @@ def test_tridiag_artifact(tmp_path):
     off_rel, residual = (float(x) for x in summary[2].split(","))
     assert off_rel <= 1e-8
     assert residual <= 1e-10
+
+
+def _csv_table(path):
+    """The numeric body of a CLI CSV artifact, below its config and header lines."""
+    return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+
+
+def test_long_horizon_tridiag(tmp_path):
+    # the benchmark's long tc slot, 2 beta t = 40 at the last point
+    config = {"kernel": {"variant": "tc", "beta": 0.5},
+              "tridiag": {"grid": {"start": 0.1, "stop": 40.0, "num": 50}}}
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert cli.main(["tridiag", "--config", cfg, "--out", str(tmp_path)]) == 0
+    table = _csv_table(tmp_path / "tridiag.csv")
+    assert table.shape == (50 * 50, 4) and np.all(np.isfinite(table))
+    offband = np.abs(table[:, 0] - table[:, 1]) > 1
+    assert np.all(table[offband, 3] == 0.0)
+    assert np.all(table[~offband, 3] != 0.0)
+    _, residual = _csv_table(tmp_path / "tridiag_offband.csv")[0]
+    assert residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "kernel,sampling",
+    [
+        # the benchmark's long recursion slot, 2 beta t = 40
+        ({"variant": "dc", "alpha": 0.6, "beta": 0.4},
+         {"seed": 5, "count": 500, "construction": "recursion",
+          "grid": {"start": 0.1, "stop": 50.0, "num": 100}}),
+        # 2 beta t = 800: exp(-2 beta t) underflows, k(t, t) = exp(-2 alpha t) does not
+        ({"variant": "dc", "alpha": 0.1, "beta": 1.0},
+         {"seed": 5, "count": 200, "construction": "cumulative",
+          "grid": {"start": 0.1, "stop": 400.0, "num": 41}}),
+    ],
+)
+def test_long_horizon_samples(tmp_path, kernel, sampling):
+    cfg = write_json(tmp_path / "cfg.json", {"kernel": kernel, "sampling": sampling})
+    assert cli.main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
+    table = _csv_table(tmp_path / "samples.csv")
+    num = sampling["grid"]["num"]
+    assert table.shape == (sampling["count"] * num, 3)
+    values = table[:, 2].reshape(sampling["count"], num)
+    assert np.all(np.isfinite(values))
+    assert np.all(np.any(values != 0.0, axis=0))  # no silent zeros at the far end
 
 
 def test_thread_env_validation(tmp_path, monkeypatch):

@@ -13,6 +13,39 @@ from dckernel.errors import ConditioningError, DomainError
 from dckernel.grids import halfline_grid, unit_grid
 
 SPEC = kernels.dc(0.2, 0.3)
+EPS = np.finfo(float).eps
+
+
+def _mp_inverse(spec, points, digits=60):
+    """K^{-1} by a dense mpmath inverse, independent of the factorization.
+
+    K is equilibrated by its diagonal first (C = S^{-1} K S^{-1}, S the
+    square roots of the diagonal), since mpmath calls a pivot singular below
+    eps times the norm, and a long horizon spreads K over hundreds of decades.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        alpha, beta = mpmath.mpf(spec.alpha), mpmath.mpf(spec.beta)
+        t = [mpmath.mpf(float(x)) for x in points]
+        K = [[mpmath.exp(-alpha * (a + b) - beta * abs(a - b)) for b in t] for a in t]
+        S = [mpmath.sqrt(K[i][i]) for i in range(len(t))]
+        n = len(t)
+        Q = mpmath.matrix([[K[i][j] / (S[i] * S[j]) for j in range(n)] for i in range(n)]) ** -1
+        return mpmath.matrix([[Q[i, j] / (S[i] * S[j]) for j in range(n)] for i in range(n)])
+
+
+def _band_error(inverse, exact):
+    """Largest relative error of the band entries against an mpmath inverse."""
+    import mpmath
+
+    n = inverse.shape[0]
+    with mpmath.workdps(30):
+        return max(
+            float(abs(mpmath.mpf(float(inverse[i, j])) / exact[i, j] - 1))
+            for i in range(n)
+            for j in range(max(i - 1, 0), min(i + 2, n))
+        )
 
 
 def _whitening(spec, grid):
@@ -140,14 +173,87 @@ def test_other_kernels_have_dense_inverses():
     assert kernelmat.max_off_tridiagonal(dense) > 1e-3 * np.max(np.abs(dense))
 
 
-def test_collapsed_gap_raises():
-    with pytest.raises(ConditioningError, match="exponential gap"):
-        kernelmat.markov_factors(kernels.tc(1.0), halfline_grid([1.0, 1.0 + 1e-15]))
+def test_collapsed_gap_keeps_its_digits():
+    # a gap of one ulp at t = 1: 1 - rho^2 comes from expm1, not from a difference
+    mpmath = pytest.importorskip("mpmath")
+    grid = halfline_grid([1.0, 1.0 + 1e-15])
+    transition, innovation_std = kernelmat.markov_factors(kernels.tc(1.0), grid)
+    with mpmath.workdps(60):
+        t0, t1 = (mpmath.mpf(float(t)) for t in grid.points)
+        expected = (mpmath.exp(-t0) * mpmath.sqrt(-mpmath.expm1(-2 * (t1 - t0))), mpmath.exp(-t1))
+        inverse = _mp_inverse(kernels.tc(1.0), grid.points)
+    assert transition.tolist() == [1.0, 0.0]
+    for value, exact in zip(innovation_std, expected):
+        assert abs(value / exact - 1) <= 4 * EPS
+    assert _band_error(kernelmat.tridiagonal_inverse(kernels.tc(1.0), grid), inverse) <= 8 * EPS
 
 
-def test_terminal_underflow_raises():
-    with pytest.raises(ConditioningError, match="terminal"):
-        kernelmat.markov_factors(kernels.tc(1.0), halfline_grid([0.0, 400.0]))
+def test_gap_to_infinity_at_a_long_horizon():
+    # 2 beta t = 800: exp(-2 beta t) underflows, the scaled factors do not
+    mpmath = pytest.importorskip("mpmath")
+    grid = halfline_grid([0.0, 400.0])
+    transition, innovation_std = kernelmat.markov_factors(kernels.tc(1.0), grid)
+    assert transition.tolist() == [1.0, 0.0]
+    assert innovation_std[0] == 1.0
+    with mpmath.workdps(60):
+        assert abs(innovation_std[1] / mpmath.exp(-400) - 1) <= 4 * EPS
+    # but 1 / k(400, 400) = exp(800) is no double
+    with pytest.raises(ConditioningError, match="overflows at t=400"):
+        kernelmat.tridiagonal_inverse(kernels.tc(1.0), grid)
+
+
+@st.composite
+def long_horizon_problems(draw):
+    """(spec, grid): 2 beta t up to 1400, runs of spacings down to 1e-12, n from 1.
+
+    alpha / beta = 2 rho + 1 runs from 1e-3 (rho -> -1/2) through alpha = beta
+    (tc, and one part in 1e9 either side) to 3.
+    """
+    beta = draw(st.floats(0.05, 5.0))
+    ratio = draw(
+        st.one_of(st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1e-3]), st.floats(1e-3, 3.0))
+    )
+    spec = kernels.tc(beta) if ratio == 1.0 else kernels.dc(ratio * beta, beta)
+    n = draw(st.integers(1, 8))
+    tiny = draw(st.integers(0, n - 1))
+    reach = draw(st.sampled_from([1.0, 40.0, 400.0, 1400.0]))  # 2 beta t at the end
+    start = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.uniform(0.1, 1.0, n - 1)
+    gaps[tiny:] *= reach / (2.0 * beta) / max(gaps[tiny:].sum(), 1e-300)
+    gaps[:tiny] = 10.0 ** rng.uniform(-12.0, -9.0, tiny)  # the tiny run comes first, near t <= 1
+    return spec, halfline_grid(start + np.concatenate([[0.0], np.cumsum(gaps)]))
+
+
+def _double_max_exceeded(exact):
+    import mpmath
+
+    largest = max(abs(exact[i, j]) for i in range(exact.rows) for j in range(exact.cols))
+    return largest > mpmath.mpf(np.finfo(float).max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=long_horizon_problems())
+@example(problem=(kernels.tc(0.5), halfline_grid(np.linspace(0.1, 40.0, 8))))
+@example(problem=(kernels.dc(0.3, 0.7), halfline_grid(np.linspace(0.1, 60.0, 8))))
+@example(problem=(kernels.dc(0.6, 0.4), halfline_grid(np.linspace(0.1, 60.0, 8))))
+def test_tridiagonal_inverse_matches_extended_precision(problem):
+    # entrywise on the band: max|K Q - I| would read cancellation in the product
+    spec, grid = problem
+    t = grid.points
+    if not math.exp(-spec.alpha * t[-1]) >= np.finfo(float).tiny:
+        with pytest.raises(ConditioningError, match="below the normal range"):
+            kernelmat.tridiagonal_inverse(spec, grid)
+        return
+    exact = _mp_inverse(spec, t)
+    if _double_max_exceeded(exact):
+        with pytest.raises(ConditioningError, match="overflows"):
+            kernelmat.tridiagonal_inverse(spec, grid)
+        return
+    inverse = kernelmat.tridiagonal_inverse(spec, grid)
+    assert kernelmat.max_off_tridiagonal(inverse) == 0.0
+    # exp(-alpha t) carries the rounding of its argument, |alpha t| eps
+    assert _band_error(inverse, exact) <= 8 * EPS * (2.0 + spec.alpha * t[-1] + spec.beta * t[-1])
 
 
 def test_single_point_grid():

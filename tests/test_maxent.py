@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from dckernel import kernels, maxent
-from dckernel.errors import DomainError
+from dckernel.errors import ConditioningError, DomainError
 from dckernel.grids import UNIT01, halfline_grid, unit_grid
 from dckernel.kernelmat import assemble
 
@@ -110,6 +111,64 @@ def test_markov_draws_share_law_not_paths():
     markov = maxent.values_matrix(maxent.sample_dc_markov(GRID, SPEC, seed=3, count=8))
     assert direct.shape == markov.shape
     assert np.max(np.abs(direct - markov)) > 1e-3
+
+
+@st.composite
+def long_horizon_grids(draw):
+    """(spec, grid): 2 beta t up to 1400, a run of spacings down to 1e-12, n from 1."""
+    beta = draw(st.floats(0.05, 5.0))
+    ratio = draw(st.one_of(st.sampled_from([1.0, 1.0 + 1e-9, 1e-3]), st.floats(1e-3, 3.0)))
+    spec = kernels.tc(beta) if ratio == 1.0 else kernels.dc(ratio * beta, beta)
+    n = draw(st.integers(1, 10))
+    tiny = draw(st.integers(0, n - 1))
+    reach = draw(st.sampled_from([1.0, 40.0, 400.0, 1400.0]))  # 2 beta t at the end
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.uniform(0.1, 1.0, n - 1)
+    gaps[tiny:] *= reach / (2.0 * beta) / max(gaps[tiny:].sum(), 1e-300)
+    gaps[:tiny] = 10.0 ** rng.uniform(-12.0, -9.0, tiny)
+    return spec, halfline_grid(0.1 + np.concatenate([[0.0], np.cumsum(gaps)]))
+
+
+def _draws_or_refusal(sampler, spec, grid, seed, count):
+    """The draws, or None after checking the refusal where exp(-alpha t) is no normal double."""
+    if math.exp(-spec.alpha * grid.points[-1]) >= np.finfo(float).tiny:
+        return maxent.values_matrix(sampler(grid, spec, seed, count))
+    with pytest.raises(ConditioningError, match="below the normal range"):
+        sampler(grid, spec, seed, count)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=long_horizon_grids(), seed=st.integers(0, 2**31))
+@example(problem=(kernels.dc(0.1, 1.0), halfline_grid(np.linspace(0.0, 400.0, 41))), seed=3)
+def test_sampler_variance_matches_the_kernel_diagonal(problem, seed):
+    spec, grid = problem
+    count = 2000
+    diag = kernels.eval_kernel(spec, grid.points, grid.points)
+    normal = diag >= np.finfo(float).tiny
+    for sampler in (maxent.sample_dc_process, maxent.sample_dc_markov):
+        draws = _draws_or_refusal(sampler, spec, grid, seed, count)
+        if draws is None:
+            return
+        assert draws.shape == (count, grid.n) and draws.flags.c_contiguous
+        assert np.all(np.isfinite(draws)) and np.all(np.any(draws != 0.0, axis=0))
+        ratio = np.mean(draws[:, normal] ** 2, axis=0) / diag[normal]
+        # the mean of count squared normals: standard error sqrt(2 / count)
+        assert np.all(np.abs(ratio - 1.0) <= 6.0 * math.sqrt(2.0 / count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=long_horizon_grids(), seed=st.integers(0, 2**31))
+def test_cumulative_draws_are_the_recursion_on_reversed_noise(problem, seed):
+    # noise index 0 meets the far end in the cumulative sum, the first point in the recursion
+    spec, grid = problem
+    process = _draws_or_refusal(maxent.sample_dc_process, spec, grid, seed, 16)
+    if process is None:
+        return
+    noise = maxent.standard_normal_matrix(seed, 16, grid.n)
+    with mock.patch.object(maxent, "standard_normal_matrix", lambda *_: noise[:, ::-1]):
+        markov = maxent.values_matrix(maxent.sample_dc_markov(grid, spec, seed, 16))
+    assert np.max(np.abs(process - markov)) <= 1e-14 * np.max(np.abs(process))
 
 
 def test_normal_matrix_block_prefix_property():

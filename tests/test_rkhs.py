@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dckernel import kernels, mercer, rkhs
-from dckernel.errors import DomainError
+from dckernel.errors import DivergenceError, DomainError
 from dckernel.quadrature import (
     DEFAULT_QUADRATURE,
     composite_rule,
-    integrate_refining,
+    integrate_halfline,
     unit_breakpoints,
 )
 
@@ -53,6 +53,24 @@ def test_exp_norm_closed_form_against_40_digits(alpha, beta, gamma):
         assert abs(mpmath.mpf(value) / exact - 1) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,gamma",
+    [(0.8213, 25.48, 2.0), (0.01, 50.0, 0.011), (0.01, 5.0, 0.0101), (1.0, 1000.0, 1.01)],
+)
+def test_norm_near_the_membership_threshold(alpha, beta, gamma):
+    # in tau = exp(-2 beta t) the integrand is near tau^-1: (gamma - alpha) / beta - 1;
+    # at dc(0.01, 5) 1e-6 of the norm lies where exp(-gamma t) has underflowed
+    value = rkhs.dc_norm_integral(exp_handle(gamma), kernels.dc(alpha, beta))
+    assert value == pytest.approx(rkhs.exp_norm_closed_form(gamma, alpha, beta), rel=1e-8)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.8, 0.999])
+def test_norm_integral_of_a_slow_decay_diverges(gamma):
+    # below gamma = alpha / 2 the integrand overflows first; above, f underflows first
+    with pytest.raises(DivergenceError):
+        rkhs.dc_norm_integral(exp_handle(gamma), kernels.dc(1.0, 1.0))
+
+
 def test_tc_norm_matches_dc_at_zero_weight():
     handle = exp_handle(1.5)
     tc_val = rkhs.tc_norm_integral(handle, kernels.tc(0.7))
@@ -66,17 +84,18 @@ def genspline_norm_integral(handle, rho):
     """Squared norm of a unit-interval function in the power-weighted space.
 
     ``handle`` lives on [0, 1] (with f(0) = 0); the integrand is the squared
-    derivative of f(tau) / tau^rho.  Equals the half-line dc norm of
-    f(exp(-2 beta t)) for every beta.
+    derivative of f(tau) / tau^rho, integrated over s = -log tau.  Equals
+    the half-line dc norm of f(exp(-2 beta t)) for every beta.
     """
 
-    def integrand(tau):
+    def integrand(s):
+        tau = np.exp(-s)
         num = handle.derivative(tau) * tau - rho * handle.evaluate(tau)
         scaled = tau ** (-(rho + 1.0)) * num
-        return scaled * scaled
+        return scaled * scaled * tau
 
-    splits = tuple(float(c) for c in handle.corners)
-    return integrate_refining(integrand, DEFAULT_QUADRATURE, splits=splits)
+    splits = tuple(-np.log(float(c)) for c in handle.corners)
+    return integrate_halfline(integrand, DEFAULT_QUADRATURE, scale=1.0, splits=splits)
 
 
 def test_genspline_norm_consistency():
